@@ -715,16 +715,13 @@ pub struct ServeOptions {
     pub exact_partition: bool,
     /// Bind address (e.g. `127.0.0.1:7878`; port 0 picks a free port).
     pub addr: String,
-    /// Worker-thread count.
+    /// Acceptor-thread count; the dispatch pool answering requests runs
+    /// `max(workers, shards)` threads.
     pub workers: usize,
     /// Shard count for the connection plane (`0` = one per available
     /// core). Admission outcomes are byte-identical at any shard count;
     /// sharding only changes how much of the plane runs concurrently.
     pub shards: usize,
-    /// Connection plane (`--conn-model`): an epoll reactor per shard
-    /// (default) or one thread per connection. Admission outcomes are
-    /// byte-identical under either model.
-    pub conn_model: fedsched_service::ConnModel,
     /// Capacity bound of the `MINPROCS` template cache (`0` = unbounded).
     /// Part of the durable configuration identity: `recover`/`compact`
     /// must pass the same cap the serving process used.
@@ -761,7 +758,6 @@ impl Default for ServeOptions {
             addr: "127.0.0.1:7878".to_owned(),
             workers: 4,
             shards: 0,
-            conn_model: fedsched_service::ConnModel::default(),
             template_cache_cap: 0,
             telemetry_events: 4096,
             limits: fedsched_service::ConnectionLimits::default(),
@@ -786,7 +782,6 @@ pub fn start_server(opts: &ServeOptions) -> Result<fedsched_service::ServerHandl
         addr: opts.addr.clone(),
         workers: opts.workers,
         shards: opts.shards,
-        conn_model: opts.conn_model,
         admission: admission_config(opts),
         limits: opts.limits,
         durability: opts.data_dir.as_ref().map(|dir| store_config(opts, dir)),
@@ -990,14 +985,6 @@ pub fn serve_banner(opts: &ServeOptions, handle: &fedsched_service::ServerHandle
     let shard_stats = handle.shard_stats();
     let _ = writeln!(
         out,
-        "  connection plane: {}",
-        match opts.conn_model {
-            fedsched_service::ConnModel::Reactor => "epoll reactor per shard",
-            fedsched_service::ConnModel::Threads => "one thread per connection",
-        },
-    );
-    let _ = writeln!(
-        out,
         "  admission plane: {} shard(s){} holding {} connection permit(s), template-cache cap {}",
         shard_stats.len(),
         if opts.shards == 0 {
@@ -1009,7 +996,11 @@ pub fn serve_banner(opts: &ServeOptions, handle: &fedsched_service::ServerHandle
         if opts.template_cache_cap == 0 {
             "unbounded".to_owned()
         } else {
-            format!("{} entr(ies) per shard partition", opts.template_cache_cap)
+            format!(
+                "{} entr(ies) in total, {} per compute partition",
+                opts.template_cache_cap,
+                fedsched_service::server::partition_cap(opts.template_cache_cap, shard_stats.len()),
+            )
         },
     );
     let _ = writeln!(
@@ -1478,7 +1469,6 @@ USAGE:
   fedsched dot      <system.json> [--task K]           # Graphviz to stdout
   fedsched serve    -m M [--policy list|cpf|lwf] [--exact-partition]
                     [--addr HOST:PORT] [--workers N] [--shards N]
-                    [--conn-model reactor|threads]
                     [--template-cache-cap N] [--telemetry N]
                     [--io-timeout-ms MS] [--idle-strikes N] [--max-conns N]
                     [--max-frame-bytes N] [--max-requests N] [--slow-ms MS]
@@ -1488,9 +1478,8 @@ USAGE:
                     # admission server; GET /metrics on the same port;
                     # --shards 0 (default) runs one connection shard per
                     # core; decisions are byte-identical at any count;
-                    # --conn-model reactor (default) multiplexes every
-                    # connection on one epoll loop per shard; threads
-                    # keeps the per-connection handler threads;
+                    # each shard multiplexes its connections on one
+                    # epoll loop;
                     # --template-cache-cap bounds the MINPROCS cache
                     # (0 = unbounded) and is part of the durable config;
                     # --io-timeout-ms 0 disables connection deadlines;
@@ -1870,6 +1859,29 @@ mod tests {
         let bye = client_command(&addr, &ClientAction::Shutdown).unwrap();
         assert!(bye.contains("shutting down"));
         handle.join();
+    }
+
+    #[test]
+    fn serve_banner_reports_the_total_cache_cap_and_each_partition_share() {
+        let opts = ServeOptions {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            shards: 4,
+            template_cache_cap: 10,
+            ..ServeOptions::default()
+        };
+        let handle = start_server(&opts).unwrap();
+        let banner = serve_banner(&opts, &handle);
+        handle.shutdown();
+        assert!(
+            banner.contains("4 shard(s) holding 256 connection permit(s)"),
+            "banner: {banner}"
+        );
+        assert!(
+            banner.contains("template-cache cap 10 entr(ies) in total, 3 per compute partition"),
+            "ceil(10 / 4) entries per partition: {banner}"
+        );
+        assert!(!banner.contains("connection plane:"), "banner: {banner}");
     }
 
     #[test]

@@ -47,7 +47,6 @@ fn run() -> Result<String, CliError> {
                 | "--addr"
                 | "--workers"
                 | "--shards"
-                | "--conn-model"
                 | "--template-cache-cap"
                 | "--token"
                 | "--telemetry"
@@ -156,7 +155,6 @@ fn run() -> Result<String, CliError> {
             "--addr",
             "--workers",
             "--shards",
-            "--conn-model",
             "--template-cache-cap",
             "--telemetry",
             "--io-timeout-ms",
@@ -394,9 +392,6 @@ fn run() -> Result<String, CliError> {
             }
             if let Some(Some(v)) = flag("--shards") {
                 opts.shards = parse_num("--shards", v)? as usize;
-            }
-            if let Some(Some(v)) = flag("--conn-model") {
-                opts.conn_model = v.parse().map_err(CliError::Usage)?;
             }
             if let Some(Some(v)) = flag("--template-cache-cap") {
                 opts.template_cache_cap = parse_num("--template-cache-cap", v)? as usize;

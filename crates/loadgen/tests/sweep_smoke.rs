@@ -35,7 +35,6 @@ fn sweep_completes_requests_and_validates_metrics_under_load() {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         shards: 1,
-        conn_model: Default::default(),
         admission: AdmissionConfig::new(8),
         limits: ConnectionLimits::default(),
         durability: None,

@@ -16,9 +16,11 @@
 //!   keyed by a canonical DAG encoding, so repeated shapes skip the
 //!   expensive List-Scheduling search entirely;
 //! * [`protocol`] — newline-delimited JSON requests and responses;
-//! * [`server`] — acceptor threads sharing one `TcpListener`, a bounded
-//!   pool of per-connection handlers, and the [`ConnectionLimits`]
-//!   hardening knobs (IO deadlines, frame caps, backpressure);
+//! * [`server`] — acceptor threads sharing one `TcpListener`, one epoll
+//!   reactor per shard multiplexing the connections, a dispatch pool
+//!   running the request pipeline, in-process [`Session`]s on the same
+//!   pipeline, and the [`ConnectionLimits`] hardening knobs (IO
+//!   deadlines, frame caps, backpressure);
 //! * [`client`] — a blocking client speaking the same protocol, with
 //!   deadlines and an automatic `Busy` retry ([`ClientConfig`]);
 //! * [`chaos`] — a fault-injection client ([`ChaosClient`]) for driving
@@ -48,7 +50,6 @@
 //!     addr: "127.0.0.1:0".into(),
 //!     workers: 2,
 //!     shards: 1,
-//!     conn_model: Default::default(),
 //!     admission: AdmissionConfig::new(4),
 //!     limits: ConnectionLimits::default(),
 //!     durability: None,
@@ -71,6 +72,7 @@
 pub mod cache;
 pub mod chaos;
 pub mod client;
+mod pipeline;
 pub mod protocol;
 mod reactor;
 pub mod recovery;
@@ -84,7 +86,7 @@ pub use client::{Client, ClientConfig};
 pub use protocol::{Placement, Request, RequestTiming, Response};
 pub use recovery::{recover_state, RecoverError, ReplayReport};
 pub use server::{
-    serve, ConnModel, ConnectionLimits, ServerConfig, ServerHandle, StageCounters, StageTimer,
+    serve, ConnectionLimits, ServerConfig, ServerHandle, Session, StageCounters, StageTimer,
     TransportCounters,
 };
 pub use state::{AdmissionConfig, AdmissionState, Admitted, RejectReason, Removed, UnknownToken};

@@ -1,6 +1,6 @@
 //! The per-shard epoll reactor: one nonblocking event loop per shard
-//! multiplexing every connection homed there, replacing the
-//! thread-per-connection plane behind `--conn-model reactor`.
+//! multiplexing every connection homed there — the server's only
+//! connection plane.
 //!
 //! # Division of labour
 //!
@@ -9,29 +9,25 @@
 //! `unsafe` lives there, this crate keeps `#![forbid(unsafe_code)]`)
 //! and does only O(bytes) work per wakeup:
 //!
-//! * an incremental NDJSON **frame decoder**: bytes append to a
-//!   per-connection buffer bounded by `max_frame_bytes + 1` (the same
-//!   cap-plus-probe-byte guarantee as the threaded `read_frame`), and
-//!   complete newline-terminated lines are split off as they arrive;
+//! * **framing**: each read goes through the pipeline's frame decoder,
+//!   which keeps an unterminated frame in a per-connection buffer
+//!   bounded by `max_frame_bytes` and splits complete newline-terminated
+//!   frames off as they arrive;
 //! * a 64-slot **timer wheel** implementing the `--io-timeout-ms`
 //!   deadlines and idle-strike drops without per-connection timers:
 //!   entries are `(token, generation)` pairs revalidated lazily on
 //!   expiry, so resetting a deadline on byte arrival is a field store,
 //!   never a wheel operation;
 //! * an **eventfd wakeup** path ([`ReactorShared`]): acceptors push
-//!   accepted sockets and the dispatch pool pushes finished
-//!   [`Outcome`]s into a mailbox, then ring the waker so parked
-//!   connections make progress without polling.
+//!   accepted sockets and the dispatch pool pushes finished outcomes into
+//!   a mailbox, then ring the waker so parked connections make progress
+//!   without polling.
 //!
-//! The **dispatch pool** does the admission work. Decoded lines ship to
-//! it as a [`Job`]; [`process_lines`] mirrors the threaded
-//! `serve_connection` request loop statement for statement — the same
-//! batching window, the same counter bumps in the same order, the same
-//! error strings — so decisions, counters, WAL bytes, and cache
-//! contents are byte-identical under either `--conn-model`. Responses
-//! come back as an [`Outcome`] and the reactor writes them out,
-//! parking the connection on `EPOLLOUT` only when the socket's send
-//! buffer fills.
+//! The **dispatch pool** does the admission work. Decoded frames ship to
+//! it as a [`Job`] and are answered by the pipeline's request loop — the
+//! same loop an in-process session runs. Responses come back as an
+//! outcome and the reactor writes them out, parking the connection on
+//! `EPOLLOUT` only when the socket's send buffer fills.
 //!
 //! While a job is in flight the connection's fd is **deleted** from the
 //! epoll set (level-triggered readiness would otherwise busy-loop on
@@ -43,17 +39,15 @@ use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use ::reactor::{Events, Interest, Poller, Waker};
 use fedsched_telemetry::CounterKind;
 
-use crate::protocol::{write_message, Request, Response};
-use crate::server::{
-    bump, dispatch, dispatch_admit_batch, lock, log_slow_request, serve_metrics_http, wake_workers,
-    AdmitItem, Permit, Shard, Shared, StageTimer, Tail, ADMIT_BATCH_MAX,
-};
+use crate::pipeline::{decode_frames, Frames, Outcome};
+use crate::protocol::{write_message, Response};
+use crate::server::{bump, lock, Permit, Shard, Shared, StageTimer};
 use crate::stats::RequestStage;
 
 /// The eventfd's registration token; connection tokens are slab indices
@@ -67,39 +61,23 @@ const WHEEL_SLOTS: usize = 64;
 /// Floor on the wheel tick so a tiny `--io-timeout-ms` cannot turn the
 /// event loop into a spin loop.
 const MIN_TICK: Duration = Duration::from_millis(5);
-/// Per-read chunk, matching the threaded plane's `BufReader` capacity.
+/// Bytes taken off a socket per read.
 const READ_CHUNK: usize = 8 * 1024;
 
-/// What the dispatch pool hands back for one [`Job`]: the serialized
-/// response bytes plus how the connection proceeds.
-#[derive(Debug)]
-pub(crate) struct Outcome {
-    /// Response bytes to write, in request order.
-    bytes: Vec<u8>,
-    /// Requests served by this job (the connection's budget advances).
-    served_delta: u64,
-    /// Close after flushing `bytes` (error, metrics scrape, budget
-    /// exhaustion, shutdown drain — whatever ended the threaded loop).
-    close: bool,
-    /// This connection's request flipped the shutdown flag; the worker
-    /// already woke the acceptors and every reactor.
-    triggered_shutdown: bool,
-}
-
-/// One connection's decoded lines, dispatched off the event loop.
+/// One connection's decoded frames, dispatched off the event loop.
 #[derive(Debug)]
 pub(crate) struct Job {
     /// Home shard (selects the reactor to answer to).
-    shard: usize,
+    pub(crate) shard: usize,
     /// Slab token of the connection on that reactor.
-    token: usize,
-    /// Complete newline-terminated frames, in arrival order.
-    lines: Vec<Vec<u8>>,
+    pub(crate) token: usize,
+    /// The frames to answer, in arrival order.
+    pub(crate) frames: Frames,
     /// Requests the connection had served before this job.
-    served: u64,
-    /// The stage timer carrying the first line's measured idle-wait and
+    pub(crate) served: u64,
+    /// The stage timer carrying the first frame's measured idle-wait and
     /// frame-read intervals.
-    timer: StageTimer,
+    pub(crate) timer: StageTimer,
 }
 
 /// Mail for a reactor: a new connection from an acceptor, or a finished
@@ -150,8 +128,7 @@ impl ReactorShared {
     }
 
     /// Asks the loop to drop every remaining connection and exit — the
-    /// drain-timeout backstop, equivalent to abandoned handler threads
-    /// dying with the process.
+    /// drain-timeout backstop.
     pub(crate) fn force_exit(&self) {
         self.force.store(true, Ordering::Release);
         let _ = self.waker.wake();
@@ -162,7 +139,8 @@ impl ReactorShared {
         self.push(Inbound::NewConn(stream, permit));
     }
 
-    fn push_outcome(&self, token: usize, outcome: Outcome) {
+    /// Hands a finished job's outcome back to the loop.
+    pub(crate) fn push_outcome(&self, token: usize, outcome: Outcome) {
         self.push(Inbound::Outcome(token, outcome));
     }
 }
@@ -208,7 +186,7 @@ impl JobQueue {
 
     /// Blocks for the next job; `None` once the queue is closed *and*
     /// drained, so in-flight work finishes before the pool exits.
-    fn pop(&self) -> Option<Job> {
+    pub(crate) fn pop(&self) -> Option<Job> {
         let mut state = self.lock_state();
         loop {
             if let Some(job) = state.jobs.pop_front() {
@@ -231,30 +209,14 @@ impl JobQueue {
     }
 }
 
-/// Splits every complete newline-terminated line off the front of
-/// `inbuf` (newline included), leaving the incomplete tail in place.
-fn split_lines(inbuf: &mut Vec<u8>) -> Vec<Vec<u8>> {
-    let mut lines = Vec::new();
-    let mut start = 0usize;
-    while let Some(pos) = inbuf[start..].iter().position(|&b| b == b'\n') {
-        lines.push(inbuf[start..=start + pos].to_vec());
-        start += pos + 1;
-    }
-    if start > 0 {
-        inbuf.drain(..start);
-    }
-    lines
-}
-
 /// Where one multiplexed connection is in its request cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ConnState {
-    /// Waiting for the first byte of the next request (the threaded
-    /// plane's `fill_buf` idle wait).
+    /// Waiting for the first byte of the next request.
     Idle,
     /// Mid-frame: bytes buffered, no complete line yet.
     Reading,
-    /// Lines shipped to the dispatch pool; the fd is deleted from the
+    /// Frames shipped to the dispatch pool; the fd is deleted from the
     /// epoll set until the outcome returns.
     Dispatching,
     /// Flushing response bytes the socket would not take synchronously.
@@ -266,10 +228,10 @@ enum ConnState {
 struct Conn {
     stream: TcpStream,
     /// Held for the connection's lifetime; dropping it releases the
-    /// shard-gate slot exactly as a finished handler thread would.
+    /// shard-gate slot.
     _permit: Permit,
     state: ConnState,
-    /// Unconsumed request bytes; `len() <= max_frame_bytes + 1` always.
+    /// The unterminated frame; `len() < max_frame_bytes` always.
     inbuf: Vec<u8>,
     /// Response bytes not yet accepted by the socket.
     outbuf: Vec<u8>,
@@ -343,13 +305,8 @@ impl TimerWheel {
 }
 
 /// One shard's event loop. Spawned by `serve` as `fedsched-reactor-N`.
-pub(crate) fn reactor_loop(
-    shard_idx: usize,
-    shared: &Arc<Shared>,
-    rs: &Arc<ReactorShared>,
-    jobs: &Arc<JobQueue>,
-) {
-    match Reactor::new(shard_idx, shared, rs, jobs) {
+pub(crate) fn reactor_loop(shared: &Shared, shard_idx: usize) {
+    match Reactor::new(shared, shard_idx) {
         Ok(mut reactor) => {
             if let Err(e) = reactor.run() {
                 eprintln!("fedsched-reactor-error shard={shard_idx}: {e}");
@@ -361,9 +318,9 @@ pub(crate) fn reactor_loop(
 
 struct Reactor<'a> {
     shard_idx: usize,
-    shared: &'a Arc<Shared>,
-    rs: &'a Arc<ReactorShared>,
-    jobs: &'a Arc<JobQueue>,
+    shared: &'a Shared,
+    /// This shard's mailbox, `&shared.reactors[shard_idx]`.
+    rs: &'a ReactorShared,
     poller: Poller,
     conns: Vec<Option<Conn>>,
     /// Bumped when a slot is freed, invalidating stale wheel entries.
@@ -374,12 +331,8 @@ struct Reactor<'a> {
 }
 
 impl<'a> Reactor<'a> {
-    fn new(
-        shard_idx: usize,
-        shared: &'a Arc<Shared>,
-        rs: &'a Arc<ReactorShared>,
-        jobs: &'a Arc<JobQueue>,
-    ) -> io::Result<Reactor<'a>> {
+    fn new(shared: &'a Shared, shard_idx: usize) -> io::Result<Reactor<'a>> {
+        let rs = &shared.reactors[shard_idx];
         let poller = Poller::new()?;
         poller.add(rs.waker.as_raw_fd(), WAKER_TOKEN, Interest::READABLE)?;
         let wheel = shared
@@ -390,7 +343,6 @@ impl<'a> Reactor<'a> {
             shard_idx,
             shared,
             rs,
-            jobs,
             poller,
             conns: Vec::new(),
             slot_gen: Vec::new(),
@@ -460,10 +412,9 @@ impl<'a> Reactor<'a> {
                 return Ok(());
             }
             if self.shared.shutdown.load(Ordering::Acquire) {
-                // Between-requests connections drain immediately, as a
-                // threaded handler's top-of-loop check would; dispatching
-                // and writing connections finish their in-flight step
-                // first and drain when it completes.
+                // Between-requests connections drain immediately;
+                // dispatching and writing connections finish their
+                // in-flight step first and drain when it completes.
                 let tokens: Vec<usize> = self.live_tokens();
                 for token in tokens {
                     let parked = matches!(
@@ -489,8 +440,8 @@ impl<'a> Reactor<'a> {
 
     fn register(&mut self, stream: TcpStream, permit: Permit) {
         if self.shared.shutdown.load(Ordering::Acquire) {
-            // The acceptor raced shutdown: drain it like a handler that
-            // observed the flag before its first read.
+            // The acceptor raced shutdown: drain it before its first
+            // read.
             bump(&self.shared.counters.drained_connections);
             lock(&self.shared.state).count_transport(CounterKind::ConnectionDrained);
             return;
@@ -584,8 +535,8 @@ impl<'a> Reactor<'a> {
         }
     }
 
-    /// The connection's deadline elapsed: the threaded plane's
-    /// read-timeout strike logic (or a write that outlived its budget).
+    /// The connection's deadline elapsed: a read-timeout strike (or a
+    /// write that outlived its budget).
     fn fire_timeout(&mut self, token: usize, now: Instant) {
         let state = match self.conns[token].as_ref() {
             Some(conn) => conn.state,
@@ -595,8 +546,7 @@ impl<'a> Reactor<'a> {
             // Outcome application re-arms; a dispatching connection has
             // no IO in flight, so an expiry here is a stale entry.
             ConnState::Dispatching => {}
-            // The client would not take its response within the budget;
-            // the threaded write timeout kills the handler the same way.
+            // The client would not take its response within the budget.
             ConnState::Writing => self.close(token),
             ConnState::Idle | ConnState::Reading => {
                 bump(&self.shared.counters.read_timeouts);
@@ -653,78 +603,49 @@ impl<'a> Reactor<'a> {
     fn handle_readable(&mut self, token: usize) {
         let cap = self.shared.limits.max_frame_bytes;
         let mut chunk = [0u8; READ_CHUNK];
-        let (lines, buffered) = {
-            let Some(conn) = self.conns[token].as_mut() else {
-                return;
-            };
-            // Total unconsumed bytes never exceed cap + 1 — the same
-            // bound the threaded `read_frame` enforces through its
-            // `take(cap + 1 - buffered)` probe. The budget is never
-            // zero here: a full newline-free buffer closed already.
-            let budget = (cap + 1).saturating_sub(conn.inbuf.len());
-            let want = budget.min(READ_CHUNK);
-            let n = loop {
-                match (&conn.stream).read(&mut chunk[..want]) {
-                    Ok(n) => break n,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                    Err(_) => {
-                        self.close(token);
-                        return;
-                    }
-                }
-            };
-            if n == 0 {
-                // EOF — between requests or mid-line, the threaded
-                // handler returns without counters either way.
-                self.close(token);
-                return;
-            }
-            if conn.state == ConnState::Idle {
-                conn.timer.stamp(RequestStage::IdleWait);
-                conn.state = ConnState::Reading;
-            }
-            conn.inbuf.extend_from_slice(&chunk[..n]);
-            (split_lines(&mut conn.inbuf), conn.inbuf.len())
+        let Some(conn) = self.conns[token].as_mut() else {
+            return;
         };
-        if !lines.is_empty() {
-            let (fd, served, timer) = {
-                let conn = self.conns[token].as_mut().expect("checked above");
-                conn.timer.stamp(RequestStage::FrameRead);
-                conn.strikes = 0;
-                conn.deadline = None;
-                conn.state = ConnState::Dispatching;
-                conn.registered = false;
-                (conn.stream.as_raw_fd(), conn.served, conn.timer)
-            };
-            // Delete, not empty-interest: a level-triggered EPOLLRDHUP
-            // from a half-closed client would otherwise spin the loop.
-            let _ = self.poller.delete(fd);
-            self.jobs.push(Job {
-                shard: self.shard_idx,
-                token,
-                lines,
-                served,
-                timer,
-            });
+        let n = loop {
+            match (&conn.stream).read(&mut chunk) {
+                Ok(n) => break n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(_) => break 0,
+            }
+        };
+        if n == 0 {
+            // EOF (or a dead socket), between requests or mid-line:
+            // closed without counters either way.
+            self.close(token);
             return;
         }
-        if buffered > cap {
-            // cap + 1 newline-free bytes: the frame can never complete.
-            bump(&self.shared.counters.oversized_requests);
-            lock(&self.shared.state).count_transport(CounterKind::OversizedRequest);
-            self.close_with_message(
-                token,
-                &Response::Error {
-                    message: format!("request exceeds the {cap}-byte frame cap"),
-                },
-            );
+        if conn.state == ConnState::Idle {
+            conn.timer.stamp(RequestStage::IdleWait);
+            conn.state = ConnState::Reading;
+        }
+        let frames = decode_frames(&mut conn.inbuf, &chunk[..n], cap);
+        if frames.is_empty() {
+            // Byte arrival resets the deadline; strikes reset only on a
+            // complete frame.
+            self.arm_deadline(token, Instant::now());
             return;
         }
-        // Byte arrival resets the deadline (the threaded plane's
-        // per-syscall read timeout behaves identically); strikes reset
-        // only on a complete frame.
-        self.arm_deadline(token, Instant::now());
+        conn.timer.stamp(RequestStage::FrameRead);
+        conn.strikes = 0;
+        conn.deadline = None;
+        conn.state = ConnState::Dispatching;
+        conn.registered = false;
+        // Delete, not empty-interest: a level-triggered EPOLLRDHUP from a
+        // half-closed client would otherwise spin the loop.
+        let _ = self.poller.delete(conn.stream.as_raw_fd());
+        self.shared.jobs.push(Job {
+            shard: self.shard_idx,
+            token,
+            frames,
+            served: conn.served,
+            timer: conn.timer,
+        });
     }
 
     /// A finished job: credit the budget, queue the response bytes, and
@@ -823,8 +744,7 @@ impl<'a> Reactor<'a> {
             conn.timer = StageTimer::start();
             if !conn.inbuf.is_empty() {
                 // The tail of the last read is already buffered: the
-                // idle wait is over before it began, exactly as the
-                // threaded `fill_buf` would return instantly.
+                // idle wait is over before it began.
                 conn.timer.stamp(RequestStage::IdleWait);
                 conn.state = ConnState::Reading;
             }
@@ -834,8 +754,7 @@ impl<'a> Reactor<'a> {
     }
 
     /// Closes a between-requests connection because the server is
-    /// draining, with the same counters as a threaded handler observing
-    /// the shutdown flag.
+    /// draining.
     fn drain_close(&mut self, token: usize) {
         bump(&self.shared.counters.drained_connections);
         lock(&self.shared.state).count_transport(CounterKind::ConnectionDrained);
@@ -882,278 +801,11 @@ impl<'a> Reactor<'a> {
     }
 }
 
-/// One dispatch-pool worker: pops jobs, runs the admission request loop
-/// over the decoded lines, and posts the outcome back to the owning
-/// reactor. Spawned by `serve` as `fedsched-dispatch-N`.
-pub(crate) fn dispatch_loop(
-    shared: &Arc<Shared>,
-    reactors: &[Arc<ReactorShared>],
-    jobs: &Arc<JobQueue>,
-) {
-    while let Some(job) = jobs.pop() {
-        let shard = &shared.shards[job.shard];
-        let outcome = process_lines(shared, shard, &job);
-        let triggered = outcome.triggered_shutdown;
-        reactors[job.shard].push_outcome(job.token, outcome);
-        if triggered {
-            // What the threaded handler does after serve_connection
-            // returns true: unblock the acceptors, then every reactor so
-            // parked connections drain.
-            wake_workers(shared.local_addr, shared.workers);
-            for rs in reactors {
-                rs.wake();
-            }
-        }
-    }
-}
-
-/// The request loop of the threaded `serve_connection`, replayed over a
-/// job's already-framed lines. Every counter bump, batching window,
-/// error string, and response is produced in the same order with the
-/// same values, which is what keeps the two connection models
-/// byte-identical (asserted by `tests/shard_determinism.rs`).
-fn process_lines(shared: &Shared, shard: &Shard, job: &Job) -> Outcome {
-    let mut out = Vec::new();
-    let mut served_delta = 0u64;
-    let mut consumed = 0usize;
-    let done = |out: Vec<u8>, served_delta, close, triggered_shutdown| Outcome {
-        bytes: out,
-        served_delta,
-        close,
-        triggered_shutdown,
-    };
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            bump(&shared.counters.drained_connections);
-            lock(&shared.state).count_transport(CounterKind::ConnectionDrained);
-            return done(out, served_delta, true, false);
-        }
-        let Some(line) = job.lines.get(consumed) else {
-            return done(out, served_delta, false, false);
-        };
-        consumed += 1;
-        // The first line carries the reactor-measured idle-wait and
-        // frame-read intervals; later lines were already buffered when
-        // the job was cut, so both read stages are ~0 — exactly how the
-        // threaded loop stamps lines it drains from its BufReader.
-        let mut timer = if consumed == 1 {
-            job.timer
-        } else {
-            let mut t = StageTimer::start();
-            t.stamp(RequestStage::IdleWait);
-            t.stamp(RequestStage::FrameRead);
-            t
-        };
-        let Ok(text) = std::str::from_utf8(line) else {
-            bump(&shared.counters.malformed_requests);
-            let _ = write_message(
-                &mut out,
-                &Response::Error {
-                    message: "request is not valid UTF-8".to_owned(),
-                },
-            );
-            return done(out, served_delta, true, false);
-        };
-        let trimmed = text.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        if trimmed == "GET /metrics" || trimmed.starts_with("GET /metrics ") {
-            let _ = serve_metrics_http(&mut out, shared);
-            return done(out, served_delta, true, false);
-        }
-        match serde_json::from_str::<Request>(trimmed) {
-            Ok(Request::Admit {
-                task,
-                trace_id,
-                echo_timing,
-            }) => {
-                timer.stamp(RequestStage::Parse);
-                let mut batch = vec![AdmitItem {
-                    task,
-                    trace_id,
-                    echo_timing,
-                    timer,
-                }];
-                // Consecutive already-framed Admits join the batch under
-                // the same window the threaded drain uses.
-                let mut tail = None;
-                let served_now = job.served + served_delta;
-                while batch.len() < ADMIT_BATCH_MAX
-                    && served_now + (batch.len() as u64) < shared.limits.max_requests_per_connection
-                {
-                    let Some(line) = job.lines.get(consumed) else {
-                        break;
-                    };
-                    consumed += 1;
-                    let mut t = StageTimer::start();
-                    t.stamp(RequestStage::IdleWait);
-                    t.stamp(RequestStage::FrameRead);
-                    if line.len() > shared.limits.max_frame_bytes + 1 {
-                        tail = Some(Tail::Oversized);
-                        break;
-                    }
-                    let Ok(text) = std::str::from_utf8(line) else {
-                        tail = Some(Tail::Malformed("request is not valid UTF-8".to_owned()));
-                        break;
-                    };
-                    let trimmed = text.trim();
-                    if trimmed.is_empty() {
-                        continue;
-                    }
-                    if trimmed == "GET /metrics" || trimmed.starts_with("GET /metrics ") {
-                        tail = Some(Tail::Metrics);
-                        break;
-                    }
-                    match serde_json::from_str::<Request>(trimmed) {
-                        Ok(Request::Admit {
-                            task,
-                            trace_id,
-                            echo_timing,
-                        }) => {
-                            t.stamp(RequestStage::Parse);
-                            batch.push(AdmitItem {
-                                task,
-                                trace_id,
-                                echo_timing,
-                                timer: t,
-                            });
-                        }
-                        Ok(other) => {
-                            t.stamp(RequestStage::Parse);
-                            tail = Some(Tail::Request(Box::new(other), t));
-                            break;
-                        }
-                        Err(e) => {
-                            tail = Some(Tail::Malformed(e.to_string()));
-                            break;
-                        }
-                    }
-                }
-                let batch_len = batch.len() as u64;
-                for mut answered in dispatch_admit_batch(batch, shared, shard) {
-                    let _ = write_message(&mut out, &answered.response);
-                    answered.timer.stamp(RequestStage::Serialize);
-                    shared.stages.record(&answered.timer);
-                    shard.stages.record(&answered.timer);
-                    log_slow_request(&shared.limits, answered.trace_id, &answered.timer);
-                    served_delta += 1;
-                }
-                shard
-                    .counters
-                    .admit_requests
-                    .fetch_add(batch_len, Ordering::Relaxed);
-                if batch_len > 1 {
-                    shard
-                        .counters
-                        .batched_requests
-                        .fetch_add(batch_len, Ordering::Relaxed);
-                }
-                match tail {
-                    None => {}
-                    Some(Tail::Request(request, mut t)) => {
-                        let stop = matches!(*request, Request::Shutdown);
-                        if stop {
-                            shared.shutdown.store(true, Ordering::Release);
-                        }
-                        let response = dispatch(*request, shared, shard, &mut t);
-                        let _ = write_message(&mut out, &response);
-                        t.stamp(RequestStage::Serialize);
-                        shared.stages.record(&t);
-                        shard.stages.record(&t);
-                        log_slow_request(&shared.limits, None, &t);
-                        if stop {
-                            return done(out, served_delta, true, true);
-                        }
-                        served_delta += 1;
-                    }
-                    Some(Tail::Metrics) => {
-                        let _ = serve_metrics_http(&mut out, shared);
-                        return done(out, served_delta, true, false);
-                    }
-                    Some(Tail::Malformed(message)) => {
-                        bump(&shared.counters.malformed_requests);
-                        let _ = write_message(&mut out, &Response::Error { message });
-                        return done(out, served_delta, true, false);
-                    }
-                    Some(Tail::Oversized) => {
-                        bump(&shared.counters.oversized_requests);
-                        lock(&shared.state).count_transport(CounterKind::OversizedRequest);
-                        let _ = write_message(
-                            &mut out,
-                            &Response::Error {
-                                message: format!(
-                                    "request exceeds the {}-byte frame cap",
-                                    shared.limits.max_frame_bytes
-                                ),
-                            },
-                        );
-                        return done(out, served_delta, true, false);
-                    }
-                }
-            }
-            Ok(request) => {
-                timer.stamp(RequestStage::Parse);
-                let stop = matches!(request, Request::Shutdown);
-                if stop {
-                    shared.shutdown.store(true, Ordering::Release);
-                }
-                let response = dispatch(request, shared, shard, &mut timer);
-                let _ = write_message(&mut out, &response);
-                timer.stamp(RequestStage::Serialize);
-                shared.stages.record(&timer);
-                shard.stages.record(&timer);
-                log_slow_request(&shared.limits, None, &timer);
-                if stop {
-                    return done(out, served_delta, true, true);
-                }
-                served_delta += 1;
-            }
-            Err(e) => {
-                bump(&shared.counters.malformed_requests);
-                let _ = write_message(
-                    &mut out,
-                    &Response::Error {
-                        message: e.to_string(),
-                    },
-                );
-                return done(out, served_delta, true, false);
-            }
-        }
-        if job.served + served_delta >= shared.limits.max_requests_per_connection {
-            bump(&shared.counters.budget_exhausted);
-            let _ = write_message(
-                &mut out,
-                &Response::Error {
-                    message: format!(
-                        "per-connection request budget ({}) exhausted; reconnect",
-                        shared.limits.max_requests_per_connection
-                    ),
-                },
-            );
-            return done(out, served_delta, true, false);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::sync::Arc;
 
-    #[test]
-    fn split_lines_extracts_complete_frames_and_keeps_the_tail() {
-        let mut buf = b"first\nsecond\npartial".to_vec();
-        let lines = split_lines(&mut buf);
-        assert_eq!(lines, vec![b"first\n".to_vec(), b"second\n".to_vec()]);
-        assert_eq!(buf, b"partial");
-        // No newline: nothing extracted, the buffer is untouched.
-        assert!(split_lines(&mut buf).is_empty());
-        assert_eq!(buf, b"partial");
-        // An empty line is a frame too (the request loop skips it).
-        let mut buf = b"\n".to_vec();
-        assert_eq!(split_lines(&mut buf), vec![b"\n".to_vec()]);
-        assert!(buf.is_empty());
-    }
+    use super::*;
 
     #[test]
     fn job_queue_delivers_across_threads_and_drains_after_close() {
@@ -1172,7 +824,7 @@ mod tests {
             queue.push(Job {
                 shard: 0,
                 token,
-                lines: Vec::new(),
+                frames: Frames::default(),
                 served: 0,
                 timer: StageTimer::start(),
             });
@@ -1224,8 +876,7 @@ mod tests {
         let outcome = Outcome {
             bytes: b"x".to_vec(),
             served_delta: 1,
-            close: false,
-            triggered_shutdown: false,
+            ..Outcome::default()
         };
         rs.push_outcome(9, outcome);
         let mail = rs.take_inbox();

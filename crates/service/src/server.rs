@@ -1,29 +1,40 @@
 //! The admission server: acceptor threads sharing one `TcpListener`, a
-//! bounded pool of per-connection handler threads, a **shard-per-core
-//! connection plane**, and one mutex-protected [`AdmissionState`] — the
-//! authoritative admission ledger.
+//! **shard-per-core connection plane** with one epoll reactor per shard,
+//! a dispatch pool answering requests, and one mutex-protected
+//! [`AdmissionState`] — the authoritative admission ledger.
 //!
 //! Each acceptor runs its own accept loop; the kernel hands every
 //! incoming connection to exactly one of them. The acceptor never serves
-//! a connection itself — it either hands the connection to a freshly
-//! spawned handler thread (if a permit is available under
+//! a connection itself — it either hands the connection to a shard's
+//! reactor (if a permit is available under
 //! [`ConnectionLimits::max_connections`]) or answers a framed
 //! [`Response::Busy`] and closes. A slow or hostile client therefore pins
-//! at most its own handler and one permit, never an acceptor, and a
-//! well-formed client always gets *some* answer quickly: a served
-//! request or a fast `Busy`.
+//! at most one reactor slot and one permit, never an acceptor or a
+//! thread, and a well-formed client always gets *some* answer quickly: a
+//! served request or a fast `Busy`.
+//!
+//! Every request runs through one pipeline, whatever carries its bytes:
+//! one frame decoder and one request loop, fed socket bytes by the
+//! reactors and in-process bytes by a [`Session`]
+//! ([`ServerHandle::session`]), so a session answers a byte stream
+//! exactly as a TCP connection does.
 //!
 //! # The sharded connection plane
 //!
 //! With [`ServerConfig::shards`] set to `N` (default: one shard per
-//! available core), the connection permits, per-stage histograms, and the
-//! `MINPROCS` compute cache are partitioned `N` ways into shards:
+//! available core), the connection permits, the epoll reactors,
+//! per-stage histograms, and the `MINPROCS` compute cache are partitioned
+//! `N` ways into shards:
 //!
 //! * **Round-robin fan-out with stealing** — the acceptor assigns each
 //!   connection a *home shard* round-robin; if the home shard's permits
 //!   are exhausted it steals a permit from the first sibling with one
 //!   free, and only when *every* shard is full does the client get
 //!   `Busy`. Admission never queues behind a saturated shard.
+//! * **One reactor per shard** — a nonblocking event loop owns every
+//!   socket homed on the shard and decodes frames as bytes arrive;
+//!   decoded frames are answered off the loop by a small dispatch pool
+//!   and the responses handed back to the loop to write.
 //! * **Shape-routed compute partitions** — each shard owns a
 //!   [`ComputePartition`], and a DAG shape deterministically routes to
 //!   partition `shape_hash % N` (not the connection's home shard), so
@@ -36,14 +47,14 @@
 //!   count, because the authoritative [`AdmissionState`] still orders
 //!   every decision and a seed carries the exact probe an inline compute
 //!   would have produced.
-//! * **Batched admission** — a pipelining client's already-buffered
-//!   `Admit` lines are drained (up to `ADMIT_BATCH_MAX` per ledger
-//!   acquisition) and admitted under one state lock, amortizing lock
-//!   traffic without ever blocking on the socket for more input.
+//! * **Batched admission** — a pipelining client's consecutive `Admit`
+//!   lines that arrived together are decided as one batch (up to
+//!   `ADMIT_BATCH_MAX` per ledger acquisition), amortizing lock traffic
+//!   without ever waiting on the socket for more input.
 //! * **One WAL sequencer** — durable decisions are sequenced by a single
-//!   background thread: handlers enqueue their log records *while still
-//!   holding the state lock* (so WAL order equals decision order, with a
-//!   monotonic sequence number and the deciding shard id attached
+//!   background thread: dispatch workers enqueue their log records *while
+//!   still holding the state lock* (so WAL order equals decision order,
+//!   with a monotonic sequence number and the deciding shard id attached
 //!   in-memory), then wait for the sequencer's acknowledgement off-lock.
 //!   No fsync ever executes under any admission lock, and the sequencer
 //!   doubles as the idle-WAL flusher: an interval fsync policy is paid
@@ -52,32 +63,33 @@
 //! Every served connection runs under the deadlines and caps of
 //! [`ConnectionLimits`]:
 //!
-//! * **IO deadlines** — `set_read_timeout`/`set_write_timeout` from
-//!   `io_timeout`. On an idle expiry the handler re-checks the shutdown
-//!   flag and keeps serving; after `idle_strikes` consecutive expiries
-//!   without a complete request it drops the connection (slowloris
-//!   clients trickle bytes but never finish a line, so they strike out
-//!   too).
-//! * **Bounded framing** — requests are read through `Read::take` with a
-//!   `max_frame_bytes` cap; a newline-free byte stream is answered with a
-//!   framed `Error` and dropped after at most `max_frame_bytes + 1`
-//!   buffered bytes, never an unbounded buffer.
+//! * **IO deadlines** — each reactor keeps an `io_timeout` deadline per
+//!   connection on a timer wheel. On an idle expiry it re-checks the
+//!   shutdown flag and keeps serving; after `idle_strikes` consecutive
+//!   expiries without a complete request it drops the connection
+//!   (slowloris clients trickle bytes but never finish a line, so they
+//!   strike out too). A response the client will not read within one
+//!   deadline closes the connection.
+//! * **Bounded framing** — the frame decoder buffers fewer than
+//!   `max_frame_bytes` bytes of an unterminated frame; a frame that
+//!   reaches the cap without its newline is answered with a framed
+//!   `Error` and the connection is dropped, never an unbounded buffer.
 //! * **Request budget** — a connection that has served
 //!   `max_requests_per_connection` requests is asked to reconnect, so no
 //!   single connection monopolises a permit forever.
 //!
 //! Shutdown is drain-based: [`ServerHandle::shutdown`] (or a client
 //! `Shutdown` request) flips the shared flag and wakes the acceptors with
-//! one dummy connection each; handlers observe the flag between requests
-//! *and on every read-deadline expiry*, so with `io_timeout` configured
-//! every handler provably exits within one deadline period and
-//! [`ServerHandle::join`] returns. Transport incidents (timeouts,
-//! oversized frames, busy rejections, drains) are counted lock-free in
-//! [`TransportCounters`] and surfaced both in the Prometheus exposition
-//! and on the telemetry event bus.
+//! one dummy connection each and every reactor through its eventfd;
+//! idle and mid-frame connections drain at once, and those being answered
+//! finish writing first, so with `io_timeout` configured
+//! [`ServerHandle::join`] returns within one deadline period. Transport
+//! incidents (timeouts, oversized frames, busy rejections, drains) are
+//! counted lock-free in [`TransportCounters`] and surfaced both in the
+//! Prometheus exposition and on the telemetry event bus.
 
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -95,7 +107,10 @@ use fedsched_graham::list::PriorityPolicy;
 use fedsched_telemetry::{monotonic_nanos, CounterKind, SpanPhase, TelemetryEvent, TraceId};
 
 use crate::cache::{shape_hash, CachedSizing, ComputePartition, SeededSizing};
+use crate::pipeline::process_lines;
+pub use crate::pipeline::Session;
 use crate::protocol::{write_message, Request, RequestTiming, Response};
+use crate::reactor::{reactor_loop, JobQueue, ReactorShared};
 use crate::recovery::{admit_records, recover_state, remove_record, ReplayReport};
 use crate::state::{AdmissionConfig, AdmissionState, Admitted, RejectReason};
 use crate::stats::{
@@ -158,44 +173,15 @@ impl ConnectionLimits {
         }
     }
 
-    /// How long [`ServerHandle::join`] waits for handler threads to
-    /// drain after the acceptors exit. With deadlines configured every
-    /// blocked read wakes within one `io_timeout`, so two periods plus
+    /// How long [`ServerHandle::join`] waits for connections to drain
+    /// after the acceptors exit. With deadlines configured every parked
+    /// connection times out within one `io_timeout`, so two periods plus
     /// slack bounds the drain; without deadlines the wait is a short
-    /// grace period only (the handlers die with the process).
+    /// grace period only (the reactors then drop the stragglers).
     fn drain_deadline(&self) -> Duration {
         match self.io_timeout {
             Some(t) => t.saturating_mul(2).saturating_add(Duration::from_secs(5)),
             None => Duration::from_secs(1),
-        }
-    }
-}
-
-/// How the server multiplexes its accepted connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConnModel {
-    /// One OS thread per accepted connection (the pre-reactor model,
-    /// kept for one release behind `--conn-model threads` so the chaos
-    /// and determinism suites can compare both planes).
-    Threads,
-    /// One nonblocking epoll reactor per shard multiplexing every
-    /// connection homed there; admission work is dispatched off the
-    /// loop to a small worker pool. Decisions, counters, WAL bytes,
-    /// and cache contents are byte-identical to [`ConnModel::Threads`].
-    #[default]
-    Reactor,
-}
-
-impl std::str::FromStr for ConnModel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<ConnModel, String> {
-        match s {
-            "threads" => Ok(ConnModel::Threads),
-            "reactor" => Ok(ConnModel::Reactor),
-            other => Err(format!(
-                "unknown connection model {other:?} (expected \"threads\" or \"reactor\")"
-            )),
         }
     }
 }
@@ -206,21 +192,20 @@ pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:7878` (`:0` picks a free port; read
     /// it back from [`ServerHandle::local_addr`]).
     pub addr: String,
-    /// Acceptor-thread count (clamped to at least 1). Connections are
-    /// served by per-connection handler threads bounded by
-    /// [`ConnectionLimits::max_connections`], not by this count.
+    /// Acceptor-thread count (clamped to at least 1), which also sizes
+    /// the dispatch pool answering requests: `max(workers, shards)`
+    /// threads. Connections are multiplexed on the shard reactors and
+    /// bounded by [`ConnectionLimits::max_connections`], not by this
+    /// count.
     pub workers: usize,
     /// Shard count of the connection plane (`--shards`): connection
-    /// permits, per-stage histograms, and the `MINPROCS` compute cache
-    /// are partitioned this many ways (see the module docs). `0` means
+    /// permits, epoll reactors, per-stage histograms, and the `MINPROCS`
+    /// compute cache are partitioned this many ways (see the module
+    /// docs). `0` means
     /// auto — one shard per available core. Admission outcomes are
     /// byte-identical at any shard count; this knob only trades lock
     /// contention against per-shard bookkeeping.
     pub shards: usize,
-    /// Connection plane (`--conn-model`): an epoll reactor per shard
-    /// (default) or one thread per connection. Admission outcomes are
-    /// byte-identical under either model.
-    pub conn_model: ConnModel,
     /// The admission-control platform and FEDCONS knobs.
     pub admission: AdmissionConfig,
     /// Per-connection deadlines and caps.
@@ -279,7 +264,7 @@ pub(crate) fn bump(counter: &AtomicU64) {
 
 /// A zero-allocation per-request stage stopwatch.
 ///
-/// Lives on the handler's stack: two fixed arrays of nanosecond tallies
+/// Lives on the request loop's stack: two fixed arrays of nanosecond tallies
 /// and end stamps, fed by the shared telemetry clock
 /// ([`monotonic_nanos`]), so stamping a boundary is one clock read and
 /// two array writes — no heap traffic on the warm path (enforced by the
@@ -374,8 +359,8 @@ impl StageTimer {
 }
 
 /// Lock-free per-stage pipeline histograms kept by the connection layer,
-/// mirroring the [`TransportCounters`] design: the handler records into
-/// atomics without the admission lock, snapshots merge into
+/// mirroring the [`TransportCounters`] design: the request loop records
+/// into atomics without the admission lock, snapshots merge into
 /// [`StatsSnapshot`].
 #[derive(Debug)]
 pub struct StageCounters {
@@ -492,8 +477,8 @@ impl Gate {
 }
 
 /// One connection's slot under the [`Gate`]. Released on drop, so a
-/// handler closure that never runs (thread-spawn failure) still returns
-/// its permit.
+/// connection dropped anywhere — closed by its reactor or never
+/// registered — returns its permit.
 #[derive(Debug)]
 pub(crate) struct Permit {
     gate: Arc<Gate>,
@@ -516,9 +501,8 @@ pub(crate) struct ShardCounters {
     pub(crate) batched_requests: AtomicU64,
 }
 
-/// Lock-free counters of one shard's epoll reactor (all zero under
-/// `--conn-model threads`), exposed as the `fedsched_reactor_*` metric
-/// families.
+/// Lock-free counters of one shard's epoll reactor, exposed as the
+/// `fedsched_reactor_*` metric families.
 #[derive(Debug, Default)]
 pub(crate) struct ReactorCounters {
     /// Sockets currently registered with the reactor (gauge).
@@ -551,7 +535,7 @@ fn lock_partition(partition: &Mutex<ComputePartition>) -> MutexGuard<'_, Compute
 }
 
 /// Point-in-time per-shard stats, merged into every [`StatsSnapshot`].
-fn shard_snapshots(shards: &[Arc<Shard>]) -> Vec<ShardStatsSnapshot> {
+fn shard_snapshots(shards: &[Shard]) -> Vec<ShardStatsSnapshot> {
     shards
         .iter()
         .map(|s| {
@@ -600,10 +584,12 @@ fn split_permits(max_connections: usize, n: usize) -> Vec<usize> {
     (0..n).map(|i| base + usize::from(i < spare)).collect()
 }
 
-/// Per-partition capacity for a total template-cache bound of `total`:
-/// ceiling-divided so `n` partitions cover at least the whole bound,
-/// floored at one entry; `0` stays unbounded.
-fn partition_cap(total: usize, n: usize) -> usize {
+/// Per-partition capacity of the compute cache for a total template-cache
+/// bound of `total` over `n` shards: ceiling-divided so `n` partitions
+/// cover at least the whole bound, floored at one entry; `0` stays
+/// unbounded. The authoritative cache itself holds `total` entries.
+#[must_use]
+pub fn partition_cap(total: usize, n: usize) -> usize {
     if total == 0 {
         0
     } else {
@@ -611,7 +597,7 @@ fn partition_cap(total: usize, n: usize) -> usize {
     }
 }
 
-/// A one-shot completion slot: the handler parks on it until the WAL
+/// A one-shot completion slot: a dispatch worker parks on it until the WAL
 /// sequencer acknowledges (or fails) its append.
 #[derive(Debug, Default)]
 struct AckSlot {
@@ -847,7 +833,7 @@ fn process_batch(
             store.should_snapshot(),
         )
     };
-    // Ack with the store lock released: the parked handlers only need
+    // Ack with the store lock released: the parked workers only need
     // the append results.
     for (item, result) in batch.iter().zip(results) {
         item.ack.complete(result);
@@ -935,18 +921,24 @@ impl Journal {
     }
 }
 
-/// Everything the acceptors and handlers share.
+/// Everything the acceptors, reactors, dispatch workers, and sessions
+/// share.
 #[derive(Debug)]
 pub(crate) struct Shared {
     pub(crate) state: Arc<Mutex<AdmissionState>>,
-    pub(crate) shutdown: Arc<AtomicBool>,
+    pub(crate) shutdown: AtomicBool,
     pub(crate) counters: Arc<TransportCounters>,
-    pub(crate) shards: Vec<Arc<Shard>>,
+    pub(crate) shards: Vec<Shard>,
+    /// One reactor mailbox per shard, indexed like `shards`.
+    pub(crate) reactors: Vec<ReactorShared>,
+    /// Decoded frames waiting for the dispatch pool.
+    pub(crate) jobs: JobQueue,
     pub(crate) limits: ConnectionLimits,
+    listener: TcpListener,
     pub(crate) local_addr: SocketAddr,
     pub(crate) workers: usize,
-    pub(crate) journal: Option<Arc<Journal>>,
-    pub(crate) sequencer: Option<Arc<WalSequencer>>,
+    pub(crate) journal: Option<Journal>,
+    pub(crate) sequencer: Option<WalSequencer>,
     pub(crate) stages: Arc<StageCounters>,
     /// The priority policy shapes are sized and routed under (fixed for
     /// the server's lifetime).
@@ -955,40 +947,48 @@ pub(crate) struct Shared {
     rr: AtomicU64,
 }
 
-/// A running server: the bound address, the shared state, and the worker
-/// threads to join.
+impl Shared {
+    /// The next home shard, round-robin.
+    pub(crate) fn next_home(&self) -> usize {
+        (self.rr.fetch_add(1, Ordering::Relaxed) as usize) % self.shards.len()
+    }
+
+    /// Wakes every acceptor parked in `accept` (one dummy connection
+    /// each) and every reactor parked in `epoll_wait`, so all of them
+    /// observe the shutdown flag.
+    pub(crate) fn wake_all(&self) {
+        for _ in 0..self.workers {
+            let _ = TcpStream::connect(self.local_addr);
+        }
+        for reactor in &self.reactors {
+            reactor.wake();
+        }
+    }
+}
+
+/// A running server: the shared state plus the threads to join.
 #[derive(Debug)]
 pub struct ServerHandle {
-    local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    state: Arc<Mutex<AdmissionState>>,
-    counters: Arc<TransportCounters>,
-    shards: Vec<Arc<Shard>>,
-    limits: ConnectionLimits,
-    workers: Vec<JoinHandle<()>>,
-    journal: Option<Arc<Journal>>,
-    sequencer: Option<Arc<WalSequencer>>,
-    sequencer_thread: Option<JoinHandle<()>>,
+    shared: Arc<Shared>,
     handoff_absorbed: Option<u64>,
-    stages: Arc<StageCounters>,
-    reactors: Vec<Arc<crate::reactor::ReactorShared>>,
-    reactor_threads: Vec<JoinHandle<()>>,
-    dispatch_threads: Vec<JoinHandle<()>>,
-    jobs: Option<Arc<crate::reactor::JobQueue>>,
+    acceptors: Vec<JoinHandle<()>>,
+    reactors: Vec<JoinHandle<()>>,
+    dispatchers: Vec<JoinHandle<()>>,
+    sequencer: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
     /// The address the listener actually bound (resolves `:0` ports).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.shared.local_addr
     }
 
     /// The shared admission state (for in-process inspection; network
     /// clients use the `Stats` request).
     #[must_use]
     pub fn state(&self) -> Arc<Mutex<AdmissionState>> {
-        Arc::clone(&self.state)
+        Arc::clone(&self.shared.state)
     }
 
     /// The connection layer's lock-free hardening counters. The returned
@@ -997,13 +997,13 @@ impl ServerHandle {
     /// tallies.
     #[must_use]
     pub fn transport(&self) -> Arc<TransportCounters> {
-        Arc::clone(&self.counters)
+        Arc::clone(&self.shared.counters)
     }
 
     /// A point-in-time copy of the transport counters.
     #[must_use]
     pub fn transport_stats(&self) -> TransportStats {
-        self.counters.snapshot()
+        self.shared.counters.snapshot()
     }
 
     /// The connection layer's lock-free per-stage pipeline histograms.
@@ -1011,20 +1011,20 @@ impl ServerHandle {
     /// [`Self::shutdown`]/[`Self::join`].
     #[must_use]
     pub fn stage_counters(&self) -> Arc<StageCounters> {
-        Arc::clone(&self.stages)
+        Arc::clone(&self.shared.stages)
     }
 
     /// A point-in-time copy of the per-stage pipeline histograms.
     #[must_use]
     pub fn stage_stats(&self) -> StageStats {
-        self.stages.snapshot()
+        self.shared.stages.snapshot()
     }
 
     /// A point-in-time copy of every shard's counters, permits, and
     /// stage histograms — the same section `Stats` responses carry.
     #[must_use]
     pub fn shard_stats(&self) -> Vec<ShardStatsSnapshot> {
-        shard_snapshots(&self.shards)
+        shard_snapshots(&self.shared.shards)
     }
 
     /// What boot recovery replayed from the data directory, or `None`
@@ -1032,7 +1032,7 @@ impl ServerHandle {
     /// this at startup.
     #[must_use]
     pub fn boot_report(&self) -> Option<ReplayReport> {
-        self.journal.as_ref().map(|j| j.boot)
+        self.shared.journal.as_ref().map(|j| j.boot)
     }
 
     /// How many template-cache entries the `--handoff-from` warm start
@@ -1042,82 +1042,87 @@ impl ServerHandle {
         self.handoff_absorbed
     }
 
+    /// Opens an in-process [`Session`] on this server: bytes sent through
+    /// it are framed and answered by the same decoder and request loop as
+    /// a TCP connection's, against the same state, counters, and WAL, with
+    /// no socket involved. The session borrows the handle, so it cannot
+    /// outlive [`Self::shutdown`]/[`Self::join`].
+    #[must_use]
+    pub fn session(&self) -> Session<'_> {
+        Session::new(&self.shared)
+    }
+
     /// Blocks until every acceptor has exited (i.e. until some client
     /// sent `Shutdown`, or [`Self::shutdown`] was called), then waits for
-    /// the in-flight connection handlers to drain. With
+    /// the live connections to drain. With
     /// [`ConnectionLimits::io_timeout`] configured the drain is bounded:
-    /// every handler blocked in a read wakes within one deadline period,
-    /// observes the shutdown flag, and exits.
+    /// every connection parked mid-frame times out within one deadline
+    /// period, observes the shutdown flag, and closes.
     pub fn join(self) {
-        for worker in self.workers {
-            let _ = worker.join();
+        let shared = &self.shared;
+        for thread in self.acceptors {
+            let _ = thread.join();
         }
         // Reactors notice the shutdown flag on the next wakeup; poke
         // them so parked (idle) connections drain immediately instead of
         // waiting out a read deadline.
-        for rs in &self.reactors {
-            rs.wake();
+        for reactor in &shared.reactors {
+            reactor.wake();
         }
         // One overall drain budget shared by all shard gates.
-        let deadline = Instant::now() + self.limits.drain_deadline();
-        for shard in &self.shards {
+        let deadline = Instant::now() + shared.limits.drain_deadline();
+        for shard in &shared.shards {
             let remaining = deadline.saturating_duration_since(Instant::now());
             shard.gate.wait_drained(remaining);
         }
         // Reactor threads exit once their last connection closes; the
         // force flag covers a drain that timed out (the stragglers are
-        // dropped unflushed, exactly as abandoned handler threads would
-        // die with the process).
-        for rs in &self.reactors {
-            rs.force_exit();
+        // dropped unflushed).
+        for reactor in &shared.reactors {
+            reactor.force_exit();
         }
-        for thread in self.reactor_threads {
+        for thread in self.reactors {
             let _ = thread.join();
         }
         // With the reactors gone nothing enqueues jobs: close the queue,
         // let the dispatch pool finish what is in flight, and join it.
-        if let Some(jobs) = &self.jobs {
-            jobs.close();
-        }
-        for thread in self.dispatch_threads {
+        shared.jobs.close();
+        for thread in self.dispatchers {
             let _ = thread.join();
         }
-        // With the handlers gone nothing enqueues; the sequencer drains
-        // its queue, syncs, and exits.
-        if let Some(sequencer) = &self.sequencer {
+        // With the dispatch pool gone nothing enqueues; the sequencer
+        // drains its queue, syncs, and exits.
+        if let Some(sequencer) = &shared.sequencer {
             sequencer.shutdown();
         }
-        if let Some(thread) = self.sequencer_thread {
+        if let Some(thread) = self.sequencer {
             let _ = thread.join();
         }
         // Whatever the fsync policy, leave nothing in the page cache on
         // an orderly exit.
-        if let Some(journal) = &self.journal {
+        if let Some(journal) = &shared.journal {
             let _ = journal.lock().sync();
         }
     }
 
     /// Initiates shutdown from the hosting process, joins the acceptors,
-    /// and drains the connection handlers. Terminates within roughly one
+    /// and drains the connections. Terminates within roughly one
     /// `io_timeout` of the call even if clients hold connections open or
-    /// sit mid-request — the deadline wakes their handlers, which observe
-    /// the flag and exit.
+    /// sit mid-request — their deadlines fire, the reactors observe the
+    /// flag, and the connections close.
     pub fn shutdown(self) {
-        self.shutdown.store(true, Ordering::Release);
-        wake_workers(self.local_addr, self.workers.len());
-        for rs in &self.reactors {
-            rs.wake();
-        }
+        self.shared.shutdown.store(true, Ordering::Release);
+        self.shared.wake_all();
         self.join();
     }
 }
 
-/// Binds the listener and spawns the acceptor pool. With
-/// [`ServerConfig::durability`] set, the data directory is opened (and
-/// created if absent) first: the newest loadable snapshot is restored
-/// structurally and the WAL suffix is re-executed through the admission
-/// engine, so the server answers `stats` and new admissions exactly as
-/// the pre-crash instance would have.
+/// Binds the listener and spawns the acceptors, the shard reactors, and
+/// the dispatch pool. With [`ServerConfig::durability`] set, the data
+/// directory is opened (and created if absent) first: the newest loadable
+/// snapshot is restored structurally and the WAL suffix is re-executed
+/// through the admission engine, so the server answers `stats` and new
+/// admissions exactly as the pre-crash instance would have.
 ///
 /// # Errors
 ///
@@ -1138,10 +1143,10 @@ pub fn serve(config: &ServerConfig) -> io::Result<ServerHandle> {
             state.add_counter(CounterKind::WalRecordReplayed, boot.replayed_records);
             (
                 state,
-                Some(Arc::new(Journal {
+                Some(Journal {
                     store: Mutex::new(store),
                     boot,
-                })),
+                }),
             )
         }
         None => (AdmissionState::new(config.admission), None),
@@ -1169,125 +1174,104 @@ pub fn serve(config: &ServerConfig) -> io::Result<ServerHandle> {
     };
     let listener = TcpListener::bind(&config.addr)?;
     let local_addr = listener.local_addr()?;
-    let listener = Arc::new(listener);
     let limits = config.limits.sanitized();
-    let worker_count = config.workers.max(1);
+    let workers = config.workers.max(1);
     let shard_count = effective_shards(config.shards);
     let cap = partition_cap(config.admission.template_cache_cap, shard_count);
-    let shards: Vec<Arc<Shard>> = split_permits(limits.max_connections, shard_count)
+    let shards = split_permits(limits.max_connections, shard_count)
         .into_iter()
         .enumerate()
-        .map(|(index, permits)| {
-            Arc::new(Shard {
-                index,
-                gate: Arc::new(Gate::new(permits)),
-                counters: ShardCounters::default(),
-                reactor: ReactorCounters::default(),
-                stages: StageCounters::default(),
-                compute: Mutex::new(ComputePartition::with_capacity(cap)),
-            })
+        .map(|(index, permits)| Shard {
+            index,
+            gate: Arc::new(Gate::new(permits)),
+            counters: ShardCounters::default(),
+            reactor: ReactorCounters::default(),
+            stages: StageCounters::default(),
+            compute: Mutex::new(ComputePartition::with_capacity(cap)),
         })
         .collect();
-    let sequencer = journal.as_ref().map(|_| Arc::new(WalSequencer::new()));
+    let reactors = (0..shard_count)
+        .map(|_| ReactorShared::new())
+        .collect::<io::Result<_>>()?;
     let shared = Arc::new(Shared {
         state: Arc::new(Mutex::new(initial_state)),
-        shutdown: Arc::new(AtomicBool::new(false)),
+        shutdown: AtomicBool::new(false),
         counters: Arc::new(TransportCounters::default()),
         shards,
+        reactors,
+        jobs: JobQueue::new(),
         limits,
+        listener,
         local_addr,
-        workers: worker_count,
+        workers,
+        sequencer: journal.as_ref().map(|_| WalSequencer::new()),
         journal,
-        sequencer,
         stages: Arc::new(StageCounters::default()),
         policy: config.admission.fedcons.policy,
         rr: AtomicU64::new(0),
     });
-    let sequencer_thread = match (&shared.journal, &shared.sequencer) {
-        (Some(journal), Some(sequencer)) => {
-            let journal = Arc::clone(journal);
-            let sequencer = Arc::clone(sequencer);
-            let state = Arc::clone(&shared.state);
-            Some(
-                std::thread::Builder::new()
-                    .name("fedsched-wal-sequencer".to_owned())
-                    .spawn(move || sequencer_loop(&sequencer, &journal, &state))?,
-            )
-        }
-        _ => None,
+    let sequencer = match shared.journal {
+        Some(_) => Some(spawn(
+            &shared,
+            "fedsched-wal-sequencer".to_owned(),
+            run_sequencer,
+        )?),
+        None => None,
     };
-    // The connection plane: either a reactor per shard with a dispatch
-    // pool, or the classic thread-per-connection handlers. Acceptors run
-    // in both models; only what they do with an accepted socket differs.
-    let (reactors, reactor_threads, dispatch_threads, jobs) = match config.conn_model {
-        ConnModel::Threads => (Vec::new(), Vec::new(), Vec::new(), None),
-        ConnModel::Reactor => {
-            let mut reactors = Vec::with_capacity(shard_count);
-            for _ in 0..shard_count {
-                reactors.push(Arc::new(crate::reactor::ReactorShared::new()?));
-            }
-            let jobs = Arc::new(crate::reactor::JobQueue::new());
-            let mut reactor_threads = Vec::with_capacity(shard_count);
-            for (i, rs) in reactors.iter().enumerate() {
-                let shared = Arc::clone(&shared);
-                let rs = Arc::clone(rs);
-                let jobs = Arc::clone(&jobs);
-                reactor_threads.push(
-                    std::thread::Builder::new()
-                        .name(format!("fedsched-reactor-{i}"))
-                        .spawn(move || crate::reactor::reactor_loop(i, &shared, &rs, &jobs))?,
-                );
-            }
-            let dispatch_count = worker_count.max(shard_count);
-            let mut dispatch_threads = Vec::with_capacity(dispatch_count);
-            for i in 0..dispatch_count {
-                let shared = Arc::clone(&shared);
-                let reactors = reactors.clone();
-                let jobs = Arc::clone(&jobs);
-                dispatch_threads.push(
-                    std::thread::Builder::new()
-                        .name(format!("fedsched-dispatch-{i}"))
-                        .spawn(move || crate::reactor::dispatch_loop(&shared, &reactors, &jobs))?,
-                );
-            }
-            (reactors, reactor_threads, dispatch_threads, Some(jobs))
-        }
-    };
-    let mut workers = Vec::with_capacity(worker_count);
-    for i in 0..worker_count {
-        let listener = Arc::clone(&listener);
-        let shared = Arc::clone(&shared);
-        let reactors = reactors.clone();
-        workers.push(
-            std::thread::Builder::new()
-                .name(format!("fedsched-acceptor-{i}"))
-                .spawn(move || {
-                    if reactors.is_empty() {
-                        acceptor_loop(&listener, &shared);
-                    } else {
-                        acceptor_loop_reactor(&listener, &shared, &reactors);
-                    }
-                })?,
-        );
-    }
+    let reactors = (0..shard_count)
+        .map(|i| {
+            spawn(&shared, format!("fedsched-reactor-{i}"), move |s| {
+                reactor_loop(s, i)
+            })
+        })
+        .collect::<io::Result<_>>()?;
+    let dispatchers = (0..workers.max(shard_count))
+        .map(|i| spawn(&shared, format!("fedsched-dispatch-{i}"), dispatch_loop))
+        .collect::<io::Result<_>>()?;
+    let acceptors = (0..workers)
+        .map(|i| spawn(&shared, format!("fedsched-acceptor-{i}"), acceptor_loop))
+        .collect::<io::Result<_>>()?;
     Ok(ServerHandle {
-        local_addr,
-        shutdown: Arc::clone(&shared.shutdown),
-        state: Arc::clone(&shared.state),
-        counters: Arc::clone(&shared.counters),
-        shards: shared.shards.clone(),
-        limits,
-        workers,
-        journal: shared.journal.clone(),
-        sequencer: shared.sequencer.clone(),
-        sequencer_thread,
+        shared,
         handoff_absorbed,
-        stages: Arc::clone(&shared.stages),
+        acceptors,
         reactors,
-        reactor_threads,
-        dispatch_threads,
-        jobs,
+        dispatchers,
+        sequencer,
     })
+}
+
+/// Spawns one named server thread running `body` against the shared state.
+fn spawn(
+    shared: &Arc<Shared>,
+    name: String,
+    body: impl FnOnce(&Shared) + Send + 'static,
+) -> io::Result<JoinHandle<()>> {
+    let shared = Arc::clone(shared);
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(move || body(&shared))
+}
+
+/// The WAL sequencer thread's body (spawned only with durability).
+fn run_sequencer(shared: &Shared) {
+    if let (Some(sequencer), Some(journal)) = (&shared.sequencer, &shared.journal) {
+        sequencer_loop(sequencer, journal, &shared.state);
+    }
+}
+
+/// One dispatch-pool worker: pops decoded frames, runs the request loop
+/// over them, and posts the outcome back to the owning reactor.
+fn dispatch_loop(shared: &Shared) {
+    while let Some(job) = shared.jobs.pop() {
+        let shard = &shared.shards[job.shard];
+        let outcome = process_lines(shared, shard, &job.frames, job.served, job.timer);
+        let triggered = outcome.triggered_shutdown;
+        shared.reactors[job.shard].push_outcome(job.token, outcome);
+        if triggered {
+            shared.wake_all();
+        }
+    }
 }
 
 /// Imports the template-cache section of the newest loadable snapshot in
@@ -1330,12 +1314,14 @@ pub(crate) fn lock(state: &Mutex<AdmissionState>) -> MutexGuard<'_, AdmissionSta
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+/// One acceptor: assigns each accepted socket a permit and hands it to
+/// that shard's reactor, or answers `Busy` when every shard is full.
+fn acceptor_loop(shared: &Shared) {
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        let stream = match listener.accept() {
+        let stream = match shared.listener.accept() {
             Ok((stream, _)) => stream,
             Err(_) => continue,
         };
@@ -1347,7 +1333,7 @@ fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         // i.e. max_connections is genuinely reached — does the client
         // get Busy. Nothing ever queues behind a saturated shard.
         let n = shared.shards.len();
-        let home = (shared.rr.fetch_add(1, Ordering::Relaxed) as usize) % n;
+        let home = shared.next_home();
         let mut acquired = None;
         for offset in 0..n {
             let idx = (home + offset) % n;
@@ -1370,70 +1356,7 @@ fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         };
         bump(&shared.counters.connections_served);
         bump(&shared.shards[idx].counters.connections_served);
-        let shard = Arc::clone(&shared.shards[idx]);
-        let handler_shared = Arc::clone(shared);
-        // The permit moves into the closure; if the spawn fails and the
-        // closure is dropped unrun, Permit::drop still releases the slot.
-        let spawned = std::thread::Builder::new()
-            .name("fedsched-conn".to_owned())
-            .spawn(move || {
-                let _permit = permit;
-                let triggered = serve_connection(stream, &handler_shared, &shard).unwrap_or(false);
-                if triggered {
-                    wake_workers(handler_shared.local_addr, handler_shared.workers);
-                }
-            });
-        if spawned.is_err() {
-            // Thread exhaustion: the connection was dropped with the
-            // closure. Count it as a rejection so the overload is visible.
-            bump(&shared.counters.busy_rejections);
-        }
-    }
-}
-
-/// The acceptor under `--conn-model reactor`: identical permit
-/// accounting (round-robin home, stealing, `Busy` when every shard is
-/// full), but an accepted socket is handed to its shard's reactor inbox
-/// instead of a freshly spawned handler thread.
-fn acceptor_loop_reactor(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    reactors: &[Arc<crate::reactor::ReactorShared>],
-) {
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => continue,
-        };
-        if shared.shutdown.load(Ordering::Acquire) {
-            return; // wake-up connection; drop it unserved
-        }
-        let n = shared.shards.len();
-        let home = (shared.rr.fetch_add(1, Ordering::Relaxed) as usize) % n;
-        let mut acquired = None;
-        for offset in 0..n {
-            let idx = (home + offset) % n;
-            if let Some(permit) = shared.shards[idx].gate.try_acquire() {
-                if offset > 0 {
-                    bump(&shared.shards[idx].counters.permit_steals);
-                }
-                acquired = Some((idx, permit));
-                break;
-            }
-        }
-        let Some((idx, permit)) = acquired else {
-            bump(&shared.counters.busy_rejections);
-            bump(&shared.shards[home].counters.busy_rejections);
-            lock(&shared.state).count_transport(CounterKind::BusyRejection);
-            reject_busy(&stream);
-            continue;
-        };
-        bump(&shared.counters.connections_served);
-        bump(&shared.shards[idx].counters.connections_served);
-        reactors[idx].push_conn(stream, permit);
+        shared.reactors[idx].push_conn(stream, permit);
     }
 }
 
@@ -1469,365 +1392,6 @@ fn reject_busy(stream: &TcpStream) {
         match reader.read(&mut sink) {
             Ok(0) | Err(_) => break,
             Ok(n) => drained += n,
-        }
-    }
-}
-
-/// What one bounded, deadline-aware framing attempt produced.
-#[derive(Debug, PartialEq, Eq)]
-enum Frame {
-    /// A complete newline-terminated line sits in the buffer.
-    Line,
-    /// The peer closed the stream (possibly mid-line).
-    Eof,
-    /// The read deadline expired before the line completed; bytes read so
-    /// far stay in the buffer and the next call resumes the same line.
-    TimedOut,
-    /// The line exceeded the cap without a newline.
-    Oversized,
-}
-
-/// Appends to `buf` until a newline, EOF, deadline expiry, or the
-/// `max`-byte cap — whichever comes first. Reads raw bytes (UTF-8 is
-/// validated later, per complete frame) so a deadline expiring mid
-/// multi-byte character loses nothing.
-fn read_frame<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>, max: usize) -> io::Result<Frame> {
-    loop {
-        let budget = (max + 1).saturating_sub(buf.len());
-        if budget == 0 {
-            return Ok(Frame::Oversized);
-        }
-        let mut limited = reader.take(budget as u64);
-        match limited.read_until(b'\n', buf) {
-            Ok(0) => return Ok(Frame::Eof),
-            Ok(_) => {
-                if buf.last() == Some(&b'\n') {
-                    return Ok(Frame::Line);
-                }
-                if buf.len() > max {
-                    // The take limit (cap + 1) was reached newline-free.
-                    return Ok(Frame::Oversized);
-                }
-                return Ok(Frame::Eof); // EOF mid-line
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                return Ok(Frame::TimedOut)
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Serves one connection until it closes, misbehaves, exhausts its
-/// request budget, or the server drains. Returns whether this connection
-/// requested shutdown.
-///
-/// The connection normally carries newline-delimited JSON requests, but a
-/// first line reading `GET /metrics` (the opening of a plain HTTP/1.x
-/// request, as a Prometheus scraper sends it) is answered with one HTTP
-/// response carrying the text exposition, after which the connection
-/// closes — scrapers can point at the admission port directly.
-///
-/// An `Admit` request opens a *batch*: complete lines the client has
-/// already pipelined into the read buffer are drained (never blocking
-/// on the socket) and consecutive `Admit`s are decided under one ledger
-/// acquisition; the first non-`Admit` line, if any, is handled right
-/// after the batch as usual.
-fn serve_connection(stream: TcpStream, shared: &Shared, shard: &Shard) -> io::Result<bool> {
-    let _ = stream.set_nodelay(true);
-    stream.set_read_timeout(shared.limits.io_timeout)?;
-    stream.set_write_timeout(shared.limits.io_timeout)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    let mut buf = Vec::new();
-    let mut strikes = 0u32;
-    let mut served = 0u64;
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            bump(&shared.counters.drained_connections);
-            lock(&shared.state).count_transport(CounterKind::ConnectionDrained);
-            return Ok(false);
-        }
-        buf.clear();
-        let mut timer = StageTimer::start();
-        // Idle wait: block until the *first byte* of the next request is
-        // buffered, so the frame-read stage below measures socket work
-        // alone, not open-loop client think time. A deadline expiring
-        // here runs the exact strike logic a mid-frame expiry does.
-        loop {
-            match reader.fill_buf() {
-                Ok(chunk) if !chunk.is_empty() => break,
-                Ok(_) => return Ok(false), // EOF between requests
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    bump(&shared.counters.read_timeouts);
-                    lock(&shared.state).count_transport(CounterKind::ReadTimeout);
-                    if shared.shutdown.load(Ordering::Acquire) {
-                        bump(&shared.counters.drained_connections);
-                        lock(&shared.state).count_transport(CounterKind::ConnectionDrained);
-                        return Ok(false);
-                    }
-                    strikes += 1;
-                    if strikes >= shared.limits.idle_strikes {
-                        bump(&shared.counters.connections_timed_out);
-                        let _ = write_message(
-                            &mut writer,
-                            &Response::Error {
-                                message: "idle timeout: no complete request before the deadline"
-                                    .to_owned(),
-                            },
-                        );
-                        return Ok(false);
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        timer.stamp(RequestStage::IdleWait);
-        loop {
-            match read_frame(&mut reader, &mut buf, shared.limits.max_frame_bytes)? {
-                Frame::Line => break,
-                Frame::Eof => return Ok(false),
-                Frame::TimedOut => {
-                    bump(&shared.counters.read_timeouts);
-                    lock(&shared.state).count_transport(CounterKind::ReadTimeout);
-                    if shared.shutdown.load(Ordering::Acquire) {
-                        bump(&shared.counters.drained_connections);
-                        lock(&shared.state).count_transport(CounterKind::ConnectionDrained);
-                        return Ok(false);
-                    }
-                    strikes += 1;
-                    if strikes >= shared.limits.idle_strikes {
-                        bump(&shared.counters.connections_timed_out);
-                        let _ = write_message(
-                            &mut writer,
-                            &Response::Error {
-                                message: "idle timeout: no complete request before the deadline"
-                                    .to_owned(),
-                            },
-                        );
-                        return Ok(false);
-                    }
-                }
-                Frame::Oversized => {
-                    bump(&shared.counters.oversized_requests);
-                    lock(&shared.state).count_transport(CounterKind::OversizedRequest);
-                    let _ = write_message(
-                        &mut writer,
-                        &Response::Error {
-                            message: format!(
-                                "request exceeds the {}-byte frame cap",
-                                shared.limits.max_frame_bytes
-                            ),
-                        },
-                    );
-                    return Ok(false);
-                }
-            }
-        }
-        strikes = 0;
-        timer.stamp(RequestStage::FrameRead);
-        let Ok(text) = std::str::from_utf8(&buf) else {
-            bump(&shared.counters.malformed_requests);
-            let _ = write_message(
-                &mut writer,
-                &Response::Error {
-                    message: "request is not valid UTF-8".to_owned(),
-                },
-            );
-            return Ok(false);
-        };
-        let trimmed = text.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        if trimmed == "GET /metrics" || trimmed.starts_with("GET /metrics ") {
-            serve_metrics_http(&mut writer, shared)?;
-            return Ok(false);
-        }
-        match serde_json::from_str::<Request>(trimmed) {
-            Ok(Request::Admit {
-                task,
-                trace_id,
-                echo_timing,
-            }) => {
-                timer.stamp(RequestStage::Parse);
-                let mut batch = vec![AdmitItem {
-                    task,
-                    trace_id,
-                    echo_timing,
-                    timer,
-                }];
-                // Drain already-buffered complete lines into the batch;
-                // a pipelining client pays one ledger acquisition for
-                // all of them, an unpipelined client none of this.
-                let mut tail = None;
-                while batch.len() < ADMIT_BATCH_MAX
-                    && served + (batch.len() as u64) < shared.limits.max_requests_per_connection
-                {
-                    let Some(line) = take_buffered_line(&mut reader) else {
-                        break;
-                    };
-                    let mut t = StageTimer::start();
-                    // Already buffered: both read stages are ~0.
-                    t.stamp(RequestStage::IdleWait);
-                    t.stamp(RequestStage::FrameRead);
-                    if line.len() > shared.limits.max_frame_bytes + 1 {
-                        tail = Some(Tail::Oversized);
-                        break;
-                    }
-                    let Ok(text) = std::str::from_utf8(&line) else {
-                        tail = Some(Tail::Malformed("request is not valid UTF-8".to_owned()));
-                        break;
-                    };
-                    let trimmed = text.trim();
-                    if trimmed.is_empty() {
-                        continue;
-                    }
-                    if trimmed == "GET /metrics" || trimmed.starts_with("GET /metrics ") {
-                        tail = Some(Tail::Metrics);
-                        break;
-                    }
-                    match serde_json::from_str::<Request>(trimmed) {
-                        Ok(Request::Admit {
-                            task,
-                            trace_id,
-                            echo_timing,
-                        }) => {
-                            t.stamp(RequestStage::Parse);
-                            batch.push(AdmitItem {
-                                task,
-                                trace_id,
-                                echo_timing,
-                                timer: t,
-                            });
-                        }
-                        Ok(other) => {
-                            t.stamp(RequestStage::Parse);
-                            tail = Some(Tail::Request(Box::new(other), t));
-                            break;
-                        }
-                        Err(e) => {
-                            tail = Some(Tail::Malformed(e.to_string()));
-                            break;
-                        }
-                    }
-                }
-                let batch_len = batch.len() as u64;
-                for mut answered in dispatch_admit_batch(batch, shared, shard) {
-                    write_message(&mut writer, &answered.response)?;
-                    answered.timer.stamp(RequestStage::Serialize);
-                    shared.stages.record(&answered.timer);
-                    shard.stages.record(&answered.timer);
-                    log_slow_request(&shared.limits, answered.trace_id, &answered.timer);
-                    served += 1;
-                }
-                shard
-                    .counters
-                    .admit_requests
-                    .fetch_add(batch_len, Ordering::Relaxed);
-                if batch_len > 1 {
-                    shard
-                        .counters
-                        .batched_requests
-                        .fetch_add(batch_len, Ordering::Relaxed);
-                }
-                match tail {
-                    None => {}
-                    Some(Tail::Request(request, mut t)) => {
-                        let stop = matches!(*request, Request::Shutdown);
-                        if stop {
-                            shared.shutdown.store(true, Ordering::Release);
-                        }
-                        let response = dispatch(*request, shared, shard, &mut t);
-                        write_message(&mut writer, &response)?;
-                        t.stamp(RequestStage::Serialize);
-                        shared.stages.record(&t);
-                        shard.stages.record(&t);
-                        log_slow_request(&shared.limits, None, &t);
-                        if stop {
-                            return Ok(true);
-                        }
-                        served += 1;
-                    }
-                    Some(Tail::Metrics) => {
-                        serve_metrics_http(&mut writer, shared)?;
-                        return Ok(false);
-                    }
-                    Some(Tail::Malformed(message)) => {
-                        bump(&shared.counters.malformed_requests);
-                        let _ = write_message(&mut writer, &Response::Error { message });
-                        return Ok(false);
-                    }
-                    Some(Tail::Oversized) => {
-                        bump(&shared.counters.oversized_requests);
-                        lock(&shared.state).count_transport(CounterKind::OversizedRequest);
-                        let _ = write_message(
-                            &mut writer,
-                            &Response::Error {
-                                message: format!(
-                                    "request exceeds the {}-byte frame cap",
-                                    shared.limits.max_frame_bytes
-                                ),
-                            },
-                        );
-                        return Ok(false);
-                    }
-                }
-            }
-            Ok(request) => {
-                timer.stamp(RequestStage::Parse);
-                let stop = matches!(request, Request::Shutdown);
-                if stop {
-                    shared.shutdown.store(true, Ordering::Release);
-                }
-                let response = dispatch(request, shared, shard, &mut timer);
-                write_message(&mut writer, &response)?;
-                timer.stamp(RequestStage::Serialize);
-                shared.stages.record(&timer);
-                shard.stages.record(&timer);
-                log_slow_request(&shared.limits, None, &timer);
-                if stop {
-                    return Ok(true);
-                }
-                served += 1;
-            }
-            Err(e) => {
-                // Malformed request: report and drop the connection — the
-                // line framing gives no reliable resynchronization point.
-                bump(&shared.counters.malformed_requests);
-                let _ = write_message(
-                    &mut writer,
-                    &Response::Error {
-                        message: e.to_string(),
-                    },
-                );
-                return Ok(false);
-            }
-        }
-        if served >= shared.limits.max_requests_per_connection {
-            bump(&shared.counters.budget_exhausted);
-            let _ = write_message(
-                &mut writer,
-                &Response::Error {
-                    message: format!(
-                        "per-connection request budget ({}) exhausted; reconnect",
-                        shared.limits.max_requests_per_connection
-                    ),
-                },
-            );
-            return Ok(false);
         }
     }
 }
@@ -1890,29 +1454,6 @@ struct PendingAdmit {
     trace_id: Option<u64>,
     echo_timing: bool,
     timer: StageTimer,
-}
-
-/// What ended a batch's buffered-line drain early.
-pub(crate) enum Tail {
-    /// A complete non-`Admit` request was drained; handle it after the
-    /// batch, exactly as the unbatched loop would have.
-    Request(Box<Request>, StageTimer),
-    /// A buffered `GET /metrics` line: answer the scrape and close.
-    Metrics,
-    Malformed(String),
-    Oversized,
-}
-
-/// Takes one complete, already-buffered line out of the reader without
-/// ever touching the socket: `None` means the buffer holds no full line
-/// and the batch closes. (A buffered line can only exceed the frame cap
-/// when the cap is smaller than the read buffer; the caller checks.)
-fn take_buffered_line<R: Read>(reader: &mut BufReader<R>) -> Option<Vec<u8>> {
-    let buffered = reader.buffer();
-    let pos = buffered.iter().position(|&b| b == b'\n')?;
-    let line = buffered[..=pos].to_vec();
-    reader.consume(pos + 1);
-    Some(line)
 }
 
 /// Resolves a task's `MINPROCS` sizing against its shape-routed compute
@@ -2124,10 +1665,10 @@ pub(crate) fn log_slow_request(
     );
 }
 
-/// Replays the read/frame and parse intervals the handler stamped before
-/// taking the state lock as retro-dated server-lane spans, so the Chrome
-/// export shows the full request pipeline, not only what happens inside
-/// dispatch.
+/// Replays the read/frame and parse intervals the reactor and the request
+/// loop stamped before taking the state lock as retro-dated server-lane
+/// spans, so the Chrome export shows the full request pipeline, not only
+/// what happens inside dispatch.
 fn emit_request_spans(guard: &mut AdmissionState, trace_id: Option<u64>, timer: &StageTimer) {
     if !guard.sink.is_enabled() {
         return;
@@ -2147,9 +1688,10 @@ fn emit_request_spans(guard: &mut AdmissionState, trace_id: Option<u64>, timer: 
     }
 }
 
-/// Maps one request to its response against the shared state, crediting
-/// the dispatch interval to the cache-lookup / analysis / WAL-append
-/// stages of `timer` on the way out.
+/// Maps one non-`Admit` request to its response against the shared
+/// state, crediting the dispatch interval to the cache-lookup / analysis /
+/// WAL-append stages of `timer` on the way out. `Admit`s are decided in
+/// batches by [`dispatch_admit_batch`].
 pub(crate) fn dispatch(
     request: Request,
     shared: &Shared,
@@ -2158,24 +1700,7 @@ pub(crate) fn dispatch(
 ) -> Response {
     let state = &shared.state;
     match request {
-        Request::Admit {
-            task,
-            trace_id,
-            echo_timing,
-        } => {
-            // A lone Admit is a batch of one: single code path, single
-            // set of invariants.
-            let items = vec![AdmitItem {
-                task,
-                trace_id,
-                echo_timing,
-                timer: *timer,
-            }];
-            let mut answered = dispatch_admit_batch(items, shared, shard);
-            let one = answered.pop().expect("one admit in, one answer out");
-            *timer = one.timer;
-            one.response
-        }
+        Request::Admit { .. } => unreachable!("the request loop batches every Admit"),
         Request::Remove { token } => {
             let mut guard = lock(state);
             let anomalies_before = guard.stats.remove_anomalies;
@@ -2247,103 +1772,9 @@ pub(crate) fn dispatch(
     }
 }
 
-/// Unblocks acceptors sitting in `accept` by connecting once per worker.
-pub(crate) fn wake_workers(addr: SocketAddr, worker_count: usize) {
-    for _ in 0..worker_count {
-        let _ = TcpStream::connect(addr);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn read_frame_returns_complete_lines() {
-        let mut reader = io::BufReader::new(&b"{\"op\":1}\nrest"[..]);
-        let mut buf = Vec::new();
-        assert_eq!(
-            read_frame(&mut reader, &mut buf, 1024).unwrap(),
-            Frame::Line
-        );
-        assert_eq!(buf, b"{\"op\":1}\n");
-        buf.clear();
-        // The trailing bytes have no newline: EOF mid-line.
-        assert_eq!(read_frame(&mut reader, &mut buf, 1024).unwrap(), Frame::Eof);
-        assert_eq!(buf, b"rest");
-    }
-
-    #[test]
-    fn read_frame_caps_newline_free_streams() {
-        let flood = vec![b'a'; 4096];
-        let mut reader = io::BufReader::new(&flood[..]);
-        let mut buf = Vec::new();
-        assert_eq!(
-            read_frame(&mut reader, &mut buf, 100).unwrap(),
-            Frame::Oversized
-        );
-        // Bounded: the cap plus the one probe byte, never the whole flood.
-        assert_eq!(buf.len(), 101);
-    }
-
-    #[test]
-    fn read_frame_accepts_a_line_exactly_at_the_cap() {
-        let mut line = vec![b'x'; 99];
-        line.push(b'\n');
-        let mut reader = io::BufReader::new(&line[..]);
-        let mut buf = Vec::new();
-        assert_eq!(read_frame(&mut reader, &mut buf, 100).unwrap(), Frame::Line);
-        assert_eq!(buf.len(), 100);
-    }
-
-    /// A reader yielding one byte per call, then a timeout, repeatedly —
-    /// a slowloris in miniature.
-    struct Trickle {
-        data: Vec<u8>,
-        pos: usize,
-        ticks: usize,
-    }
-
-    impl io::Read for Trickle {
-        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-            self.ticks += 1;
-            if self.ticks.is_multiple_of(2) {
-                return Err(io::Error::from(io::ErrorKind::WouldBlock));
-            }
-            match self.data.get(self.pos) {
-                Some(&b) => {
-                    out[0] = b;
-                    self.pos += 1;
-                    Ok(1)
-                }
-                None => Ok(0),
-            }
-        }
-    }
-
-    #[test]
-    fn read_frame_resumes_partial_lines_across_timeouts() {
-        let mut reader = io::BufReader::with_capacity(
-            1,
-            Trickle {
-                data: b"ab\n".to_vec(),
-                pos: 0,
-                ticks: 0,
-            },
-        );
-        let mut buf = Vec::new();
-        let mut timeouts = 0;
-        loop {
-            match read_frame(&mut reader, &mut buf, 64).unwrap() {
-                Frame::Line => break,
-                Frame::TimedOut => timeouts += 1,
-                other => panic!("unexpected {other:?}"),
-            }
-            assert!(timeouts < 100, "never completed the line");
-        }
-        assert_eq!(buf, b"ab\n");
-        assert!(timeouts > 0, "the trickle reader must have timed out");
-    }
 
     #[test]
     fn limits_sanitize_to_usable_floors() {
@@ -2440,26 +1871,6 @@ mod tests {
         assert_eq!(partition_cap(64, 1), 64);
         assert!(effective_shards(0) >= 1, "auto resolves to at least one");
         assert_eq!(effective_shards(3), 3);
-    }
-
-    #[test]
-    fn buffered_lines_drain_without_touching_the_socket() {
-        // Capacity 16: fill_buf pulls at most 16 bytes at a time.
-        let data = b"first\nsecond\npartial";
-        let mut reader = BufReader::with_capacity(64, &data[..]);
-        let mut buf = Vec::new();
-        assert_eq!(read_frame(&mut reader, &mut buf, 64).unwrap(), Frame::Line);
-        assert_eq!(buf, b"first\n");
-        // "second\npartial" is now buffered; only the complete line comes out.
-        assert_eq!(take_buffered_line(&mut reader).unwrap(), b"second\n");
-        assert_eq!(
-            take_buffered_line(&mut reader),
-            None,
-            "an incomplete buffered line must not be consumed"
-        );
-        buf.clear();
-        assert_eq!(read_frame(&mut reader, &mut buf, 64).unwrap(), Frame::Eof);
-        assert_eq!(buf, b"partial", "the tail survives for the normal path");
     }
 
     #[test]

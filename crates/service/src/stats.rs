@@ -21,7 +21,7 @@ pub const REQUEST_STAGES: usize = 7;
 pub enum RequestStage {
     /// Waiting for the first byte of the next request: pure client think
     /// time (open-loop pacing, interactive idle). Split out of the old
-    /// `read_frame` stage so socket work is measurable on its own.
+    /// combined read stage so socket work is measurable on its own.
     IdleWait = 0,
     /// Reading and framing the request line off the socket once its first
     /// byte has arrived (mid-frame stalls — a trickling client — still
@@ -245,7 +245,7 @@ pub struct Stats {
 /// [`StatsSnapshot`] when a snapshot is taken.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TransportStats {
-    /// Connections accepted and handed to a handler since start.
+    /// Connections accepted and handed to a shard's reactor since start.
     pub connections_served: u64,
     /// Connections turned away with `Busy` because the concurrent
     /// connection cap was reached.
@@ -318,8 +318,8 @@ pub struct StageStats {
     pub requests_total: u64,
     /// [`RequestStage::IdleWait`] buckets, `[2^i, 2^{i+1})` µs each.
     /// Defaults to empty (with [`RequestStage::FrameRead`]) in snapshots
-    /// from servers predating the idle/frame split of the old
-    /// `read_frame` stage; renderers emit nothing for an empty vector.
+    /// from servers predating the idle/frame split of the old combined
+    /// read stage; renderers emit nothing for an empty vector.
     #[serde(default)]
     pub idle_wait_buckets_us: Vec<u64>,
     /// [`RequestStage::FrameRead`] buckets.
@@ -414,9 +414,8 @@ pub struct ShardStatsSnapshot {
     /// Entries evicted from this shard's compute-cache partition by the
     /// capacity bound.
     pub compute_evictions: u64,
-    /// Sockets currently registered with this shard's epoll reactor
-    /// (always zero under `--conn-model threads`). Defaults for snapshots
-    /// predating the reactor.
+    /// Sockets currently registered with this shard's epoll reactor.
+    /// Defaults for snapshots predating the reactor.
     #[serde(default)]
     pub reactor_registered_fds: u64,
     /// Times this shard's reactor returned from `epoll_wait` with at least
@@ -605,7 +604,7 @@ pub fn render_prometheus(snapshot: &StatsSnapshot) -> String {
     let transport: [(&str, &str, u64); 8] = [
         (
             "fedsched_connections_served_total",
-            "Connections accepted and handed to a handler since start",
+            "Connections accepted and handed to a shard's reactor since start",
             snapshot.transport.connections_served,
         ),
         (
@@ -784,7 +783,7 @@ fn render_shards(shards: &[ShardStatsSnapshot], out: &mut fedsched_telemetry::Pr
         ),
         (
             "fedsched_reactor_registered_fds",
-            "Sockets currently registered with the shard's epoll reactor (zero under threads)",
+            "Sockets currently registered with the shard's epoll reactor",
             |s| s.reactor_registered_fds,
         ),
     ];

@@ -17,22 +17,10 @@ use fedsched_service::client::{Client, ClientConfig};
 use fedsched_service::protocol::{Placement, Response};
 use fedsched_service::recover_state;
 use fedsched_service::server::{
-    serve, ConnModel, ConnectionLimits, ServerConfig, ServerHandle, TransportCounters,
+    serve, ConnectionLimits, ServerConfig, ServerHandle, TransportCounters,
 };
 use fedsched_service::state::AdmissionConfig;
 use fedsched_service::stats::TransportStats;
-
-/// The connection plane under test: `FEDSCHED_CONN_MODEL=threads|reactor`
-/// reruns the whole suite against either plane (CI runs both); unset
-/// falls back to the server default.
-fn conn_model() -> ConnModel {
-    match std::env::var("FEDSCHED_CONN_MODEL") {
-        Ok(v) => v
-            .parse()
-            .expect("FEDSCHED_CONN_MODEL must be threads|reactor"),
-        Err(_) => ConnModel::default(),
-    }
-}
 
 fn start_server(limits: ConnectionLimits) -> ServerHandle {
     start_sharded_server(limits, 1)
@@ -43,7 +31,6 @@ fn start_sharded_server(limits: ConnectionLimits, shards: usize) -> ServerHandle
         addr: "127.0.0.1:0".into(),
         workers: 2,
         shards,
-        conn_model: conn_model(),
         admission: AdmissionConfig::new(16).with_telemetry(256),
         limits,
         durability: None,
@@ -64,7 +51,6 @@ fn start_durable_server(dir: &std::path::Path) -> ServerHandle {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         shards: 1,
-        conn_model: conn_model(),
         admission: AdmissionConfig::new(16).with_telemetry(256),
         limits: ConnectionLimits::default(),
         durability: Some(StoreConfig {
@@ -700,15 +686,13 @@ fn a_thousand_slowloris_connections_cannot_wedge_the_reactor() {
     // thousand stacks on this; the reactor must hold every socket on its
     // shard loops without spawning anything, answer a healthy client
     // within one io-timeout while the attack is live, and strike every
-    // attacker out on schedule. Pinned to `ConnModel::Reactor` — the
-    // threaded plane is exercised by the rest of the suite.
+    // attacker out on schedule.
     const ATTACKERS: usize = 1000;
     let io_timeout = Duration::from_secs(1);
     let handle = serve(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         shards: 2,
-        conn_model: ConnModel::Reactor,
         admission: AdmissionConfig::new(16).with_telemetry(256),
         limits: ConnectionLimits {
             io_timeout: Some(io_timeout),

@@ -28,7 +28,6 @@ fn start_donor(dir: &Path) -> ServerHandle {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         shards: 1,
-        conn_model: Default::default(),
         admission: AdmissionConfig::new(16),
         limits: ConnectionLimits::default(),
         durability: Some(StoreConfig {
@@ -46,7 +45,6 @@ fn start_receiver(handoff_from: Option<PathBuf>, durability: Option<StoreConfig>
         addr: "127.0.0.1:0".into(),
         workers: 2,
         shards: 1,
-        conn_model: Default::default(),
         admission: AdmissionConfig::new(16),
         limits: ConnectionLimits::default(),
         durability,
@@ -151,7 +149,6 @@ fn missing_donor_directory_is_a_boot_error() {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         shards: 1,
-        conn_model: Default::default(),
         admission: AdmissionConfig::new(16),
         limits: ConnectionLimits::default(),
         durability: None,

@@ -2,8 +2,11 @@
 //! and assert the Prometheus exposition parses — every non-comment line
 //! matches `name{labels} value` — over both transports (the
 //! `StatsPrometheus` protocol request and a raw HTTP `GET /metrics`).
+//! The metric inventory is pinned too: the families a live scrape
+//! exports are exactly the ones docs/OBSERVABILITY.md documents.
 
-use std::io::{BufRead, BufReader, Write};
+use std::collections::BTreeSet;
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
 use fedsched_dag::task::DagTask;
@@ -18,7 +21,6 @@ fn start_server() -> ServerHandle {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         shards: 1,
-        conn_model: Default::default(),
         admission: AdmissionConfig::new(8).with_telemetry(256),
         limits: ConnectionLimits::default(),
         durability: None,
@@ -210,4 +212,81 @@ fn stage_histogram_counts_match_requests_total_over_a_live_scrape() {
 
     client.shutdown().expect("shutdown");
     handle.join();
+}
+
+/// Every metric family docs/OBSERVABILITY.md documents: the backticked
+/// `fedsched_*` names of each table cell that opens with one, with
+/// `{a,b}` alternations expanded and label sets (`{shard}`,
+/// `{density="high|low"}`) dropped.
+fn documented_families() -> BTreeSet<String> {
+    fn expand(token: &str) -> Vec<String> {
+        let Some(open) = token.find('{') else {
+            return vec![token.to_owned()];
+        };
+        let close = open + token[open..].find('}').expect("unclosed brace");
+        let (head, group, tail) = (&token[..open], &token[open + 1..close], &token[close + 1..]);
+        if group.contains('=') || !group.contains(',') {
+            return expand(&format!("{head}{tail}"));
+        }
+        group
+            .split(',')
+            .flat_map(|alt| expand(&format!("{head}{alt}{tail}")))
+            .collect()
+    }
+    let doc = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../docs/OBSERVABILITY.md"
+    ))
+    .expect("read docs/OBSERVABILITY.md");
+    let mut names = BTreeSet::new();
+    for row in doc.lines().filter(|l| l.starts_with('|')) {
+        // `\|` escapes a pipe inside a cell.
+        for cell in row.replace("\\|", "/").split('|') {
+            if !cell.trim().starts_with("`fedsched_") {
+                continue;
+            }
+            for token in cell.split('`').skip(1).step_by(2) {
+                if token.starts_with("fedsched_") {
+                    names.extend(expand(token));
+                }
+            }
+        }
+    }
+    names
+}
+
+#[test]
+fn every_exported_metric_family_is_documented_and_vice_versa() {
+    let handle = serve(&ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        shards: 2,
+        admission: AdmissionConfig::new(8),
+        limits: ConnectionLimits::default(),
+        durability: None,
+        handoff_from: None,
+    })
+    .expect("bind loopback");
+    let mut scrape = TcpStream::connect(handle.local_addr()).expect("connect scrape");
+    scrape
+        .write_all(b"GET /metrics HTTP/1.1\r\nHost: localhost\r\n\r\n")
+        .expect("send request");
+    let mut response = String::new();
+    scrape.read_to_string(&mut response).expect("read scrape");
+    handle.shutdown();
+
+    let exported: BTreeSet<String> = response
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .filter_map(|l| l.split_whitespace().next())
+        .map(str::to_owned)
+        .collect();
+    let documented = documented_families();
+    assert!(exported.len() > 60, "scrape exported {exported:?}");
+    let undocumented: Vec<_> = exported.difference(&documented).collect();
+    let unexported: Vec<_> = documented.difference(&exported).collect();
+    assert!(
+        undocumented.is_empty() && unexported.is_empty(),
+        "exported but undocumented: {undocumented:?}; documented but not exported: {unexported:?}"
+    );
 }

@@ -17,6 +17,10 @@
 //! differently per run — but then the *inputs* differ, which is outside
 //! this suite's claim. Same input order in, same bytes out.
 //!
+//! The same three layers are diffed between the epoll reactor over TCP
+//! and an in-process [`Session`](fedsched_service::Session) on a server
+//! of the same shape: one request pipeline, whatever carries the bytes.
+//!
 //! A churn soak rides along for the bounded template cache: admissions
 //! over more distinct shapes than the cap must pin `cache_entries` to
 //! the cap and surface the overflow in `cache_evictions`.
@@ -31,7 +35,7 @@ use fedsched_dag::time::Duration as Ticks;
 use fedsched_durable::{FsyncPolicy, StoreConfig};
 use fedsched_service::protocol::{Request, Response};
 use fedsched_service::{
-    serve, AdmissionConfig, ConnModel, ConnectionLimits, ServerConfig, ServerHandle, StatsSnapshot,
+    serve, AdmissionConfig, ConnectionLimits, ServerConfig, ServerHandle, StatsSnapshot,
 };
 
 /// A fresh scratch directory for one durable run.
@@ -41,33 +45,11 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The connection plane the shard sweep runs under:
-/// `FEDSCHED_CONN_MODEL=threads|reactor` reruns the suite against either
-/// plane (CI runs both); unset falls back to the server default.
-fn conn_model() -> ConnModel {
-    match std::env::var("FEDSCHED_CONN_MODEL") {
-        Ok(v) => v
-            .parse()
-            .expect("FEDSCHED_CONN_MODEL must be threads|reactor"),
-        Err(_) => ConnModel::default(),
-    }
-}
-
 fn start(shards: usize, cache_cap: usize, dir: Option<&PathBuf>) -> ServerHandle {
-    start_with_model(shards, cache_cap, dir, conn_model())
-}
-
-fn start_with_model(
-    shards: usize,
-    cache_cap: usize,
-    dir: Option<&PathBuf>,
-    conn_model: ConnModel,
-) -> ServerHandle {
     serve(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         shards,
-        conn_model,
         admission: AdmissionConfig::new(16).with_cache_cap(cache_cap),
         limits: ConnectionLimits::default(),
         durability: dir.map(|dir| StoreConfig {
@@ -136,28 +118,64 @@ fn shape_pool(variants: usize) -> Vec<DagTask> {
     pool
 }
 
-/// One sequential client run: a seeded interleaving of admits and
-/// removes over the shape pool, one request in flight at a time.
-/// Returns the raw response line per request plus the final snapshot.
-fn drive(addr: std::net::SocketAddr, seed: u64, operations: usize) -> (Vec<String>, StatsSnapshot) {
+/// One request line, newline-terminated.
+fn frame(request: &Request) -> String {
+    let mut line = serde_json::to_string(request).expect("serialize request");
+    line.push('\n');
+    line
+}
+
+/// [`drive`] over a TCP connection to the server at `addr`.
+fn drive_tcp(
+    addr: std::net::SocketAddr,
+    seed: u64,
+    operations: usize,
+) -> (Vec<String>, StatsSnapshot) {
     let stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(std::time::Duration::from_secs(10)))
         .expect("read timeout");
     let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-    let mut call = |request: &Request| -> String {
-        let mut line = serde_json::to_string(request).expect("serialize request");
-        line.push('\n');
+    drive(seed, operations, |request| {
         reader
             .get_ref()
-            .write_all(line.as_bytes())
+            .write_all(frame(request).as_bytes())
             .expect("send request");
         let mut response = String::new();
         reader.read_line(&mut response).expect("read response");
-        assert!(response.ends_with('\n'), "truncated response");
+        response
+    })
+}
+
+/// [`drive`] over an in-process session on `handle`.
+fn drive_session(
+    handle: &ServerHandle,
+    seed: u64,
+    operations: usize,
+) -> (Vec<String>, StatsSnapshot) {
+    let mut session = handle.session();
+    drive(seed, operations, |request| {
+        String::from_utf8(session.send(frame(request).as_bytes())).expect("UTF-8 response")
+    })
+}
+
+/// One sequential client run: a seeded interleaving of admits and
+/// removes over the shape pool, one request in flight at a time, each
+/// answered through `call`. Returns the raw response line per request
+/// plus the final snapshot.
+fn drive(
+    seed: u64,
+    operations: usize,
+    mut call: impl FnMut(&Request) -> String,
+) -> (Vec<String>, StatsSnapshot) {
+    let mut call = |request: &Request| -> String {
+        let response = call(request);
+        assert!(
+            response.ends_with('\n') && response.matches('\n').count() == 1,
+            "expected one response line, got {response:?}"
+        );
         response
     };
-
     let pool = shape_pool(6);
     let mut rng = XorShift::new(seed);
     let mut tokens: Vec<u64> = Vec::new();
@@ -239,7 +257,7 @@ fn decisions_and_wal_bytes_are_identical_across_shard_counts() {
             let dir = scratch_dir(&format!("{seed:x}-{shards}"));
             let handle = start(shards, 8, Some(&dir));
             let addr = handle.local_addr();
-            let (responses, snapshot) = drive(addr, seed, 120);
+            let (responses, snapshot) = drive_tcp(addr, seed, 120);
             shutdown(addr, handle);
             let wal = std::fs::read(dir.join("wal.log")).expect("read wal");
             let _ = std::fs::remove_dir_all(&dir);
@@ -276,49 +294,48 @@ fn decisions_and_wal_bytes_are_identical_across_shard_counts() {
 }
 
 #[test]
-fn reactor_and_threaded_planes_produce_identical_bytes() {
-    // The reactor is a transport rewrite, not a semantic one: at every
-    // shard count the same seeded interleaving must yield the same
-    // response bytes, the same deterministic stats view, and the same
-    // WAL bytes on disk under `--conn-model reactor` as under
-    // `--conn-model threads`.
-    type Baseline = (Vec<String>, Box<dyn std::fmt::Debug>, Vec<u8>);
-    let seed = 0x0D5E_ED0C_u64;
-    for shards in [1usize, 2, 8] {
-        let mut baseline: Option<Baseline> = None;
-        for model in [ConnModel::Threads, ConnModel::Reactor] {
-            let dir = scratch_dir(&format!("model-{shards}-{model:?}"));
-            let handle = start_with_model(shards, 8, Some(&dir), model);
+fn the_reactor_over_tcp_and_an_in_process_session_produce_identical_bytes() {
+    // One pipeline, two carriers: at every shard count the same seeded
+    // interleaving must yield the same response bytes, the same
+    // deterministic stats view, and the same WAL bytes on disk whether
+    // it arrives over a socket or through a session.
+    type Run = (Vec<String>, String, Vec<u8>);
+    let run = |seed: u64, shards: usize, in_process: bool| -> Run {
+        let dir = scratch_dir(&format!("carrier-{seed:x}-{shards}-{in_process}"));
+        let handle = start(shards, 8, Some(&dir));
+        let (responses, snapshot) = if in_process {
+            let driven = drive_session(&handle, seed, 120);
+            handle.shutdown();
+            driven
+        } else {
             let addr = handle.local_addr();
-            let (responses, snapshot) = drive(addr, seed, 120);
+            let driven = drive_tcp(addr, seed, 120);
             shutdown(addr, handle);
-            let wal = std::fs::read(dir.join("wal.log")).expect("read wal");
-            let _ = std::fs::remove_dir_all(&dir);
-
-            assert!(snapshot.admitted_high + snapshot.admitted_low > 0);
-            assert!(snapshot.removed > 0);
-
-            let view = deterministic_view(&snapshot);
-            match &baseline {
-                None => {
-                    baseline = Some((responses, Box::new(view), wal));
-                }
-                Some((threaded_responses, threaded_view, threaded_wal)) => {
-                    assert_eq!(
-                        threaded_responses, &responses,
-                        "responses diverged between planes at {shards} shard(s)"
-                    );
-                    assert_eq!(
-                        format!("{threaded_view:?}"),
-                        format!("{view:?}"),
-                        "stats diverged between planes at {shards} shard(s)"
-                    );
-                    assert_eq!(
-                        threaded_wal, &wal,
-                        "WAL bytes diverged between planes at {shards} shard(s)"
-                    );
-                }
-            }
+            driven
+        };
+        let wal = std::fs::read(dir.join("wal.log")).expect("read wal");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(snapshot.admitted_high + snapshot.admitted_low > 0);
+        assert!(snapshot.removed > 0);
+        let view = format!("{:?}", deterministic_view(&snapshot));
+        (responses, view, wal)
+    };
+    for seed in [0x0D5E_ED0C_u64, 0x0D5E_ED0D, 0x0D5E_ED0E] {
+        for shards in [1usize, 2, 8] {
+            let (tcp_responses, tcp_view, tcp_wal) = run(seed, shards, false);
+            let (responses, view, wal) = run(seed, shards, true);
+            assert_eq!(
+                tcp_responses, responses,
+                "seed {seed:#x}: responses diverged between TCP and a session at {shards} shard(s)"
+            );
+            assert_eq!(
+                tcp_view, view,
+                "seed {seed:#x}: stats diverged between TCP and a session at {shards} shard(s)"
+            );
+            assert_eq!(
+                tcp_wal, wal,
+                "seed {seed:#x}: WAL bytes diverged between TCP and a session at {shards} shard(s)"
+            );
         }
     }
 }

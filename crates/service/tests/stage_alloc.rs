@@ -52,8 +52,8 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-/// One request's worth of stage stamping, exactly as `serve_connection`
-/// and `dispatch` drive it.
+/// One request's worth of stage stamping, exactly as the reactor, the
+/// request loop, and `dispatch` drive it.
 fn stamp_one_request(counters: &StageCounters) {
     let mut timer = StageTimer::start();
     timer.stamp(RequestStage::IdleWait);

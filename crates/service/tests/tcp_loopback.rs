@@ -20,7 +20,6 @@ fn start_server(processors: u32) -> ServerHandle {
         addr: "127.0.0.1:0".into(),
         workers: CLIENTS,
         shards: 2,
-        conn_model: Default::default(),
         admission: AdmissionConfig::new(processors),
         limits: ConnectionLimits::default(),
         durability: None,
