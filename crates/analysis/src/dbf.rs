@@ -163,6 +163,95 @@ pub fn total_dbf_approx(tasks: &[SequentialView], t: Duration) -> Rational {
     tasks.iter().map(|task| dbf_approx(task, t)).sum()
 }
 
+/// The demand slack `t − Σ_j DBF*(τ_j, t)` of a set of views, kept as the
+/// line it is for every `t` at or past the set's latest deadline.
+///
+/// Past its own deadline each `DBF*` term is linear (paper Eq. 1), so for
+/// `t ≥ max_j D_j`
+///
+/// ```text
+/// t − Σ_j DBF*(τ_j, t) = t·(1 − Σ_j u_j) + Σ_j u_j·(D_j − T_j)
+/// ```
+///
+/// (`u_j·(D_j − T_j) = u_j·D_j − C_j`). The line keeps the two
+/// coefficients as exact [`Rational`] running sums, so the slack costs one
+/// multiply and one add however many views it covers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct DemandLine {
+    /// `1 − Σ u_j`: the slope of the slack, and the utilization a further
+    /// view may still add.
+    headroom: Rational,
+    /// `Σ u_j·(D_j − T_j)`: the slack at `t = 0`.
+    offset: Rational,
+}
+
+/// The line of no views: slack `t`, headroom 1.
+impl Default for DemandLine {
+    fn default() -> Self {
+        DemandLine {
+            headroom: Rational::ONE,
+            offset: Rational::ZERO,
+        }
+    }
+}
+
+impl DemandLine {
+    /// The line of `views`. Its slack is exact at every `t` no earlier than
+    /// their latest deadline.
+    #[must_use]
+    pub(crate) fn of<'a>(views: impl IntoIterator<Item = &'a SequentialView>) -> DemandLine {
+        let mut line = DemandLine::default();
+        for view in views {
+            line.add(view);
+        }
+        line
+    }
+
+    /// The line of the views due by `t` (`D_j ≤ t`). The others contribute
+    /// `DBF*(τ_j, t) = 0`, so its [`slack_at`](Self::slack_at) `t` is
+    /// `t − Σ_j DBF*(τ_j, t)` over all of `views`, whatever their deadline
+    /// order.
+    #[must_use]
+    pub(crate) fn due_by(views: &[SequentialView], t: Duration) -> DemandLine {
+        DemandLine::of(views.iter().filter(|view| view.deadline <= t))
+    }
+
+    /// Adds `view`'s terms.
+    pub(crate) fn add(&mut self, view: &SequentialView) {
+        let (utilization, offset) = terms(view);
+        self.headroom = self.headroom - utilization;
+        self.offset += offset;
+    }
+
+    /// Removes the terms [`Self::add`] added for `view`. The sums are exact,
+    /// so the result equals the line of the remaining views.
+    pub(crate) fn remove(&mut self, view: &SequentialView) {
+        let (utilization, offset) = terms(view);
+        self.headroom += utilization;
+        self.offset = self.offset - offset;
+    }
+
+    /// `1 − Σ u_j`.
+    #[must_use]
+    pub(crate) fn headroom(&self) -> Rational {
+        self.headroom
+    }
+
+    /// `t − Σ_j DBF*(τ_j, t)`, exact for every `t` no earlier than the
+    /// latest deadline of the views on the line.
+    #[must_use]
+    pub(crate) fn slack_at(&self, t: Duration) -> Rational {
+        self.headroom * Rational::from(t.ticks()) + self.offset
+    }
+}
+
+/// A view's utilization and its share `u·(D − T)` of the line's offset.
+fn terms(view: &SequentialView) -> (Rational, Rational) {
+    let utilization = view.utilization();
+    let lag = view.deadline.ticks() as i128 - view.period.ticks() as i128;
+    (utilization, utilization * Rational::from_integer(lag))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,6 +316,28 @@ mod tests {
             total_dbf_approx(&[a, b], t),
             dbf_approx(&a, t) + dbf_approx(&b, t)
         );
+    }
+
+    #[test]
+    fn demand_line_slack_is_the_summed_dbf_star_slack() {
+        let views = [view(2, 5, 10), view(1, 8, 8), view(3, 7, 12)];
+        let literal = |t: Duration| Rational::from(t.ticks()) - total_dbf_approx(&views, t);
+        let line = DemandLine::of(&views);
+        for t in (8..60).map(Duration::new) {
+            assert_eq!(line.slack_at(t), literal(t), "t = {t}");
+        }
+        // Before the latest deadline only the views due by `t` count.
+        for t in (0..8).map(Duration::new) {
+            assert_eq!(
+                DemandLine::due_by(&views, t).slack_at(t),
+                literal(t),
+                "t = {t}"
+            );
+        }
+        let mut line = line;
+        line.remove(&views[1]);
+        assert_eq!(line, DemandLine::of([&views[0], &views[2]]));
+        assert_eq!(line.headroom(), Rational::ONE - Rational::new(9, 20));
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! partitioner into two reusable pieces:
 //!
 //! * [`ProcessorState`] — one shared processor's resident task views plus
-//!   its cached utilization sum, with the same admission condition
-//!   ([`fits`](crate::partition::fits)) the batch partitioner applies;
+//!   the exact `DBF*` demand line of them, with the same admission
+//!   condition ([`fits`](crate::partition::fits)) the batch partitioner
+//!   applies;
 //! * [`SharedPool`] — an ordered bank of [`ProcessorState`]s with the
 //!   first-fit placement rule over it.
 //!
@@ -22,18 +23,29 @@
 //! checks end to end.
 
 use fedsched_dag::rational::Rational;
+use fedsched_dag::time::Duration;
 
-use crate::dbf::SequentialView;
-use crate::partition::{fits_probed, PartitionConfig};
+use crate::dbf::{DemandLine, SequentialView};
+use crate::partition::{
+    approx_dbf_fits_probed, fits_probed, Candidate, PartitionConfig, PartitionTest,
+};
 use crate::probe::AnalysisProbe;
 
-/// One shared processor: the sequential views resident on it and their
-/// cached utilization sum (the quantity the Baruah–Fisher test needs in
-/// addition to the `DBF*` demand).
+/// One shared processor: the sequential views resident on it, the exact
+/// `DBF*` demand line of all of them, and their latest deadline. Past
+/// that deadline the line gives `t − Σ_j DBF*(τ_j, t) = t·(1 − Σ u_j) +
+/// Σ u_j·(D_j − T_j)` from two running sums.
+///
+/// Fig. 4 places tasks in deadline order, so a candidate's deadline is
+/// never earlier than a resident's and the `DBF*` demand at it is read off
+/// the line in constant time. A candidate with an earlier deadline than
+/// some resident (possible only through out-of-order [`Self::place`]) gets
+/// the line folded over the residents due by its deadline instead.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProcessorState {
     resident: Vec<SequentialView>,
-    utilization: Rational,
+    line: DemandLine,
+    latest_deadline: Duration,
 }
 
 impl ProcessorState {
@@ -49,10 +61,10 @@ impl ProcessorState {
         &self.resident
     }
 
-    /// Cached sum of the resident utilizations.
+    /// Sum of the resident utilizations.
     #[must_use]
     pub fn utilization(&self) -> Rational {
-        self.utilization
+        Rational::ONE - self.line.headroom()
     }
 
     /// Number of resident tasks.
@@ -84,25 +96,61 @@ impl ProcessorState {
         config: PartitionConfig,
         probe: &mut AnalysisProbe,
     ) -> bool {
-        fits_probed(&self.resident, self.utilization, candidate, config, probe)
+        self.accepts(&Candidate::new(*candidate), config, probe)
+    }
+
+    fn accepts(
+        &self,
+        candidate: &Candidate,
+        config: PartitionConfig,
+        probe: &mut AnalysisProbe,
+    ) -> bool {
+        match config.test {
+            PartitionTest::ApproxDbf => {
+                let in_order = candidate.view.deadline >= self.latest_deadline;
+                approx_dbf_fits_probed(
+                    &self.resident,
+                    in_order.then_some(&self.line),
+                    self.line.headroom(),
+                    candidate,
+                    config.utilization_check,
+                    probe,
+                )
+            }
+            PartitionTest::ExactEdf { .. } => fits_probed(
+                &self.resident,
+                self.utilization(),
+                &candidate.view,
+                config,
+                probe,
+            ),
+        }
     }
 
     /// Places `view` unconditionally (callers check [`Self::can_accept`]
     /// first when re-validating; replay of known-good placements skips it).
     pub fn place(&mut self, view: SequentialView) {
-        self.utilization += view.utilization();
+        self.line.add(&view);
+        self.latest_deadline = self.latest_deadline.max(view.deadline);
         self.resident.push(view);
     }
 
     /// Removes the first resident view equal to `view`; returns whether one
     /// was present. Removal never invalidates the remaining placements: each
     /// admission test is monotone in the resident set (both the `DBF*` sum
-    /// and the utilization sum only shrink).
+    /// and the utilization sum only shrink). The state afterwards equals
+    /// one built by placing the remaining views afresh.
     pub fn remove(&mut self, view: &SequentialView) -> bool {
         match self.resident.iter().position(|r| r == view) {
             Some(i) => {
                 self.resident.remove(i);
-                self.utilization = self.utilization - view.utilization();
+                self.line.remove(view);
+                self.latest_deadline = self
+                    .resident
+                    .iter()
+                    .map(|r| r.deadline)
+                    .max()
+                    .unwrap_or(Duration::ZERO);
                 true
             }
             None => false,
@@ -165,9 +213,10 @@ impl SharedPool {
         candidate: &SequentialView,
         probe: &mut AnalysisProbe,
     ) -> Option<usize> {
+        let candidate = Candidate::new(*candidate);
         self.processors
             .iter()
-            .position(|p| p.can_accept_probed(candidate, self.config, probe))
+            .position(|p| p.accepts(&candidate, self.config, probe))
     }
 
     /// First-fit placement: finds the first accepting processor, places the

@@ -29,7 +29,7 @@ use fedsched_dag::system::TaskId;
 use fedsched_dag::time::Duration;
 use serde::{Deserialize, Serialize};
 
-use crate::dbf::{dbf_approx, SequentialView};
+use crate::dbf::{DemandLine, SequentialView};
 use crate::edf::edf_qpa_probed;
 use crate::incremental::SharedPool;
 use crate::probe::AnalysisProbe;
@@ -257,7 +257,7 @@ pub fn fits(
 }
 
 /// [`fits`] with cost accounting: records one `fits()` call, plus one
-/// `DBF*` evaluation per resident task ([`PartitionTest::ApproxDbf`]) or
+/// `DBF*` demand term per resident task ([`PartitionTest::ApproxDbf`]) or
 /// the exact-`dbf` evaluations of the QPA run
 /// ([`PartitionTest::ExactEdf`]).
 #[must_use]
@@ -268,24 +268,17 @@ pub fn fits_probed(
     config: PartitionConfig,
     probe: &mut AnalysisProbe,
 ) -> bool {
-    probe.fits_calls = probe.fits_calls.saturating_add(1);
     match config.test {
-        PartitionTest::ApproxDbf => {
-            let d = candidate.deadline;
-            probe.dbf_approx_evals = probe.dbf_approx_evals.saturating_add(resident.len() as u64);
-            let demand_at_d: Rational = resident.iter().map(|r| dbf_approx(r, d)).sum();
-            let slack = Rational::from(d.ticks()) - demand_at_d;
-            if slack < Rational::from(candidate.wcet.ticks()) {
-                return false;
-            }
-            if config.utilization_check
-                && resident_utilization + candidate.utilization() > Rational::ONE
-            {
-                return false;
-            }
-            true
-        }
+        PartitionTest::ApproxDbf => approx_dbf_fits_probed(
+            resident,
+            None,
+            Rational::ONE - resident_utilization,
+            &Candidate::new(*candidate),
+            config.utilization_check,
+            probe,
+        ),
         PartitionTest::ExactEdf { budget } => {
+            probe.fits_calls = probe.fits_calls.saturating_add(1);
             let mut with: Vec<SequentialView> = resident.to_vec();
             with.push(*candidate);
             matches!(
@@ -296,12 +289,59 @@ pub fn fits_probed(
     }
 }
 
+/// The candidate side of the Fig. 4 test, computed once per placement
+/// rather than once per processor a first-fit scan tries.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Candidate {
+    pub(crate) view: SequentialView,
+    wcet: Rational,
+    utilization: Rational,
+}
+
+impl Candidate {
+    pub(crate) fn new(view: SequentialView) -> Candidate {
+        Candidate {
+            view,
+            wcet: Rational::from(view.wcet.ticks()),
+            utilization: view.utilization(),
+        }
+    }
+}
+
+/// The [`PartitionTest::ApproxDbf`] test of `candidate` against `resident`:
+///
+/// ```text
+/// D_i − Σ_j DBF*(τ_j, D_i) ≥ C_i   ∧   u_i ≤ 1 − Σ_j u_j
+/// ```
+///
+/// with the demand read off a [`DemandLine`] and `headroom = 1 − Σ_j u_j`
+/// (the second conjunct only under `utilization_check`). `line` may be the
+/// line of all of `resident` only when no resident's deadline is later
+/// than the candidate's; otherwise (`None`) the line is folded over the
+/// residents due by `D_i`, which is exact in any order.
+pub(crate) fn approx_dbf_fits_probed(
+    resident: &[SequentialView],
+    line: Option<&DemandLine>,
+    headroom: Rational,
+    candidate: &Candidate,
+    utilization_check: bool,
+    probe: &mut AnalysisProbe,
+) -> bool {
+    probe.fits_calls = probe.fits_calls.saturating_add(1);
+    probe.dbf_approx_evals = probe.dbf_approx_evals.saturating_add(resident.len() as u64);
+    let d = candidate.view.deadline;
+    let slack = match line {
+        Some(line) => line.slack_at(d),
+        None => DemandLine::due_by(resident, d).slack_at(d),
+    };
+    slack >= candidate.wcet && !(utilization_check && candidate.utilization > headroom)
+}
+
 /// Convenience: the demand slack `D − Σ DBF*(τ_j, D)` a processor offers a
 /// deadline `D`, exposed for diagnostics and experiments.
 #[must_use]
 pub fn slack_at(resident: &[SequentialView], d: Duration) -> Rational {
-    let demand: Rational = resident.iter().map(|r| dbf_approx(r, d)).sum();
-    Rational::from(d.ticks()) - demand
+    DemandLine::due_by(resident, d).slack_at(d)
 }
 
 #[cfg(test)]

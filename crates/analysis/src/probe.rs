@@ -56,8 +56,10 @@ pub struct AnalysisProbe {
     /// identically at every pool width — including width 1, where the items
     /// run inline — so the counter is part of the determinism contract.
     pub par_tasks_dispatched: u64,
-    /// Approximate demand-bound (`DBF*`) evaluations, one per resident
-    /// task per first-fit admission test.
+    /// `DBF*` demand terms covered by first-fit tests: one per resident
+    /// task per approximate admission test. A test reads its processor's
+    /// demand off one exact demand line in constant time, but still counts
+    /// every resident the line covers, so the counter keeps its values.
     pub dbf_approx_evals: u64,
     /// Exact `dbf` evaluations performed by the exact-EDF tests (QPA and
     /// the exhaustive deadline walk).

@@ -3,15 +3,24 @@
 //! The central soundness property: any partition accepted by the approximate
 //! `DBF*` first-fit test must be schedulable per-processor under the *exact*
 //! EDF processor-demand criterion. Plus: QPA and the exhaustive walk always
-//! agree, and `DBF*` dominates `dbf` pointwise.
+//! agree, `DBF*` dominates `dbf` pointwise, and the first fit places and
+//! counts exactly as a literal Fig. 4 that sums `DBF*` resident by
+//! resident.
 
 use fedsched_analysis::dbf::{dbf, dbf_approx, SequentialView};
 use fedsched_analysis::edf::{demand_horizon, edf_exact, edf_qpa, DEFAULT_BUDGET};
-use fedsched_analysis::partition::{partition_first_fit, PartitionConfig};
+use fedsched_analysis::incremental::ProcessorState;
+use fedsched_analysis::partition::{
+    fits, partition_first_fit, partition_first_fit_probed, PartitionConfig,
+};
+use fedsched_analysis::probe::AnalysisProbe;
 use fedsched_dag::rational::Rational;
 use fedsched_dag::system::TaskId;
 use fedsched_dag::time::Duration;
+use fedsched_gen::params::round_period_to_grid;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// A random constrained-deadline sequential task: T ∈ \[2, 60\], C ≤ T,
 /// D ∈ [C, T].
@@ -256,6 +265,152 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+}
+
+/// The literal Fig. 4 admission test, as the paper states it: the `DBF*`
+/// demand at the candidate's deadline summed resident by resident, plus
+/// the \[7\] utilization condition when `utilization_check` is on.
+fn literal_fits(
+    resident: &[SequentialView],
+    candidate: &SequentialView,
+    utilization_check: bool,
+) -> bool {
+    let d = candidate.deadline;
+    let demand: Rational = resident.iter().map(|r| dbf_approx(r, d)).sum();
+    let utilization: Rational = resident.iter().map(SequentialView::utilization).sum();
+    Rational::from(d.ticks()) - demand >= Rational::from(candidate.wcet.ticks())
+        && !(utilization_check && utilization + candidate.utilization() > Rational::ONE)
+}
+
+/// The literal Fig. 4 first fit over [`literal_fits`]: tasks in deadline
+/// order (ties by id), each on the lowest-indexed processor that admits
+/// it. Returns the placements, or the first task that fits nowhere, plus
+/// the `fits()` calls and `DBF*` terms the scan tried.
+fn literal_first_fit(
+    tasks: &[(TaskId, SequentialView)],
+    processors: usize,
+    utilization_check: bool,
+) -> (Result<Vec<Vec<TaskId>>, TaskId>, AnalysisProbe) {
+    let mut order: Vec<&(TaskId, SequentialView)> = tasks.iter().collect();
+    order.sort_by_key(|(id, view)| (view.deadline, *id));
+    let mut resident: Vec<Vec<SequentialView>> = vec![Vec::new(); processors];
+    let mut placed: Vec<Vec<TaskId>> = vec![Vec::new(); processors];
+    let mut probe = AnalysisProbe::default();
+    for &(id, view) in order {
+        let home = (0..processors).find(|&k| {
+            probe.fits_calls += 1;
+            probe.dbf_approx_evals += resident[k].len() as u64;
+            literal_fits(&resident[k], &view, utilization_check)
+        });
+        match home {
+            Some(k) => {
+                resident[k].push(view);
+                placed[k].push(id);
+            }
+            None => return (Err(id), probe),
+        }
+    }
+    (Ok(placed), probe)
+}
+
+/// Shared-pool-scale cross-check of the first fit against the literal
+/// Fig. 4: 100–200 low-density views with grid-rounded periods (as the
+/// generator and the admission server see them) on 1–16 processors, with
+/// the total utilization drawn around the pool's capacity so runs both
+/// complete and run out of room. Every placement, the failing task, and
+/// the probe's `fits()`/`DBF*` counts must equal the literal run's.
+#[test]
+fn first_fit_matches_the_literal_fig4_at_shared_pool_scale() {
+    let mut rng = StdRng::seed_from_u64(0xF164);
+    let mut outcomes = [0usize; 2];
+    for _ in 0..24 {
+        let n = rng.gen_range(100..=200usize);
+        let m = rng.gen_range(1..=16usize);
+        let mean_u = rng.gen_range(0.5..1.2) * m as f64 / n as f64;
+        let tasks: Vec<(TaskId, SequentialView)> = (0..n)
+            .map(|i| {
+                let c = rng.gen_range(1..=60u64);
+                let u = (mean_u * rng.gen_range(0.5..1.5)).clamp(0.002, 0.5);
+                let t = round_period_to_grid(((c as f64 / u) as u64).max(c + 1));
+                let d = rng.gen_range(c + 1..=t).max(t * 3 / 10);
+                let view =
+                    SequentialView::new(Duration::new(c), Duration::new(d), Duration::new(t));
+                (TaskId::from_index(i), view)
+            })
+            .collect();
+        for utilization_check in [true, false] {
+            let config = PartitionConfig {
+                utilization_check,
+                ..PartitionConfig::default()
+            };
+            let mut probe = AnalysisProbe::default();
+            let engine = partition_first_fit_probed(&tasks, m, config, &mut probe)
+                .map(|p| p.iter().map(|(_, ids)| ids.to_vec()).collect::<Vec<_>>())
+                .map_err(|failure| failure.task);
+            let (literal, literal_probe) = literal_first_fit(&tasks, m, utilization_check);
+            outcomes[usize::from(literal.is_ok())] += 1;
+            assert_eq!(
+                engine, literal,
+                "n = {n}, m = {m}, check = {utilization_check}"
+            );
+            assert_eq!(probe.fits_calls, literal_probe.fits_calls);
+            assert_eq!(probe.dbf_approx_evals, literal_probe.dbf_approx_evals);
+        }
+    }
+    assert!(
+        outcomes.iter().all(|&count| count > 0),
+        "both complete and failed partitions must occur: {outcomes:?}"
+    );
+}
+
+proptest! {
+    /// `ProcessorState` answers the literal Fig. 4 test for residents in
+    /// any deadline order, including residents due after the candidate
+    /// (possible only through out-of-order `place`), and counts one
+    /// `fits()` call and one `DBF*` term per resident. After each removal
+    /// the state equals one built afresh from the survivors, and still
+    /// answers literally.
+    #[test]
+    fn processor_state_matches_the_literal_test_in_any_order(
+        residents in prop::collection::vec(arb_view(), 0..=10),
+        candidate in arb_view(),
+        removals in prop::collection::vec(0usize..10, 0..=6),
+        utilization_check in any::<bool>(),
+    ) {
+        let config = PartitionConfig {
+            utilization_check,
+            ..PartitionConfig::default()
+        };
+        let fresh = |views: &[SequentialView]| {
+            let mut state = ProcessorState::new();
+            for &view in views {
+                state.place(view);
+            }
+            state
+        };
+        let mut survivors = residents.clone();
+        let mut state = fresh(&survivors);
+        let mut removals = removals.into_iter();
+        loop {
+            let literal = literal_fits(&survivors, &candidate, utilization_check);
+            let mut probe = AnalysisProbe::default();
+            prop_assert_eq!(state.can_accept_probed(&candidate, config, &mut probe), literal);
+            prop_assert_eq!(probe.fits_calls, 1);
+            prop_assert_eq!(probe.dbf_approx_evals, survivors.len() as u64);
+            prop_assert_eq!(
+                fits(state.resident(), state.utilization(), &candidate, config),
+                literal
+            );
+            let Some(i) = removals.next().filter(|_| !survivors.is_empty()) else {
+                break;
+            };
+            let gone = survivors[i % survivors.len()];
+            let first = survivors.iter().position(|&v| v == gone).expect("present");
+            survivors.remove(first);
+            prop_assert!(state.remove(&gone));
+            prop_assert_eq!(&state, &fresh(&survivors));
         }
     }
 }

@@ -27,6 +27,12 @@
 //! multi-core hosts. Every suite asserts the engine's verdicts equal the
 //! baseline's before any timing is reported — the speedup is never bought
 //! with a different answer.
+//!
+//! The `partition_first_fit` suite times the Fig. 4 first-fit test itself,
+//! in nanoseconds per `fits()` call against shared processors of 8, 64 and
+//! 135 residents: the engine reads each processor's demand off its `DBF*`
+//! demand line, the baseline sums `DBF*` resident by resident as the test
+//! did before the line.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
@@ -35,13 +41,18 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use fedsched_analysis::dbf::{dbf_approx, SequentialView};
+use fedsched_analysis::incremental::SharedPool;
+use fedsched_analysis::partition::PartitionConfig;
 use fedsched_analysis::probe::AnalysisProbe;
 use fedsched_core::fedcons::{fedcons, fedcons_probed, FedConsConfig};
 use fedsched_core::minprocs::{min_procs_fits_probed, min_procs_probed};
 use fedsched_core::speedup::required_speed;
+use fedsched_dag::rational::Rational;
 use fedsched_dag::system::TaskSystem;
 use fedsched_dag::task::DagTask;
 use fedsched_dag::time::Duration;
+use fedsched_gen::params::round_period_to_grid;
 use fedsched_gen::system::SystemConfig;
 use fedsched_gen::{DeadlineTightness, Span, Topology, WcetRange};
 use fedsched_graham::list::{
@@ -57,6 +68,13 @@ const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// Repeats for the gated `minprocs_sizing` suite (best-of-N wall time).
 const GATED_REPEATS: usize = 3;
+
+/// Residents per shared processor in the `partition_first_fit` suite.
+const FIT_RESIDENTS: [usize; 3] = [8, 64, 135];
+
+/// Total utilization of each processor of the `partition_first_fit` pool,
+/// so first-fit candidates land on every processor and on none.
+const FIT_FILL: [f64; 4] = [0.75, 0.6, 0.45, 0.3];
 
 /// Heap allocations performed by this process, counted by the global
 /// allocator below — the `ls_kernel` suite reads it to report
@@ -137,12 +155,27 @@ struct KernelSuite {
     paths: Vec<KernelPath>,
 }
 
+/// First-fit test cost at one resident-set size: the same candidates
+/// scanned over the same pool by the engine and by the literal baseline.
+#[derive(Serialize)]
+struct FitsRun {
+    residents_per_processor: usize,
+    candidates: usize,
+    fits_calls: u64,
+    dbf_terms: u64,
+    baseline_ns_per_call: f64,
+    engine_ns_per_call: f64,
+    /// Baseline time per call divided by the engine's.
+    speedup_vs_baseline: f64,
+}
+
 #[derive(Serialize)]
 struct Report {
     quick: bool,
     host_parallelism: usize,
     suites: Vec<Suite>,
     ls_kernel: KernelSuite,
+    partition_first_fit: Vec<FitsRun>,
 }
 
 fn nanos_since(start: Instant) -> u64 {
@@ -587,6 +620,114 @@ fn suite_ls_kernel(tasks: &[DagTask], policy: PriorityPolicy, iters: u64) -> Ker
     }
 }
 
+/// A constrained-deadline view of utilization about `u`, its deadline
+/// drawn from `deadlines` and its period rounded up to the generator grid.
+fn fit_view(rng: &mut StdRng, u: f64, deadlines: (u64, u64)) -> SequentialView {
+    let d = rng.gen_range(deadlines.0..=deadlines.1);
+    let t = round_period_to_grid(d + d * rng.gen_range(0..=30) / 100);
+    let c = ((u * t as f64) as u64).clamp(1, d);
+    SequentialView::new(Duration::new(c), Duration::new(d), Duration::new(t))
+}
+
+/// The Fig. 4 test as computed before the demand line: `DBF*` summed
+/// resident by resident at the candidate's deadline, plus the utilization
+/// condition against the processor's cached utilization.
+fn literal_fits(resident: &[SequentialView], utilization: Rational, cand: &SequentialView) -> bool {
+    let d = cand.deadline;
+    let demand: Rational = resident.iter().map(|r| dbf_approx(r, d)).sum();
+    Rational::from(d.ticks()) - demand >= Rational::from(cand.wcet.ticks())
+        && utilization + cand.utilization() <= Rational::ONE
+}
+
+/// First-fit test suite: a pool of `FIT_FILL.len()` shared processors,
+/// each holding `residents` views placed in deadline order, scanned
+/// first-fit for candidates due no earlier than any resident (the order
+/// Fig. 4 tests in). The engine is `SharedPool::first_fit_probed`; the
+/// baseline is [`literal_fits`] over the same pool. Placements and call
+/// counts are asserted equal before any timing.
+fn suite_partition_first_fit(residents: usize, candidates: usize, passes: u32) -> FitsRun {
+    let mut rng = StdRng::seed_from_u64(0xF164 + residents as u64);
+    let mut pool = SharedPool::new(FIT_FILL.len(), PartitionConfig::default());
+    let mut literal: Vec<(Vec<SequentialView>, Rational)> = Vec::new();
+    for (k, fill) in FIT_FILL.iter().enumerate() {
+        let mut views: Vec<SequentialView> = (0..residents)
+            .map(|_| {
+                let u = fill / residents as f64 * rng.gen_range(0.5..1.5);
+                fit_view(&mut rng, u, (200, 2_000))
+            })
+            .collect();
+        views.sort_by_key(|v| v.deadline);
+        for &view in &views {
+            pool.place(k, view);
+        }
+        let utilization = views.iter().map(SequentialView::utilization).sum();
+        literal.push((views, utilization));
+    }
+    let cands: Vec<SequentialView> = (0..candidates)
+        .map(|_| {
+            let u = rng.gen_range(0.01..0.7);
+            fit_view(&mut rng, u, (2_000, 4_000))
+        })
+        .collect();
+
+    let mut probe = AnalysisProbe::default();
+    let engine_placements: Vec<Option<usize>> = cands
+        .iter()
+        .map(|c| pool.first_fit_probed(c, &mut probe))
+        .collect();
+    let mut baseline_calls = 0u64;
+    let baseline_placements: Vec<Option<usize>> = cands
+        .iter()
+        .map(|c| {
+            literal.iter().position(|(views, u)| {
+                baseline_calls += 1;
+                literal_fits(views, *u, c)
+            })
+        })
+        .collect();
+    assert_eq!(
+        engine_placements, baseline_placements,
+        "engine placements must match the literal baseline"
+    );
+    assert_eq!(probe.fits_calls, baseline_calls, "same scans on both sides");
+    assert!(
+        engine_placements.iter().any(Option::is_none)
+            && (0..FIT_FILL.len()).all(|k| engine_placements.contains(&Some(k))),
+        "candidates must reach every processor and none: {engine_placements:?}"
+    );
+
+    let calls = probe.fits_calls * u64::from(passes);
+    let start = Instant::now();
+    for _ in 0..passes {
+        for c in &cands {
+            black_box(
+                literal
+                    .iter()
+                    .position(|(views, u)| literal_fits(views, *u, c)),
+            );
+        }
+    }
+    let baseline_ns = nanos_since(start) as f64 / calls as f64;
+    let mut scratch = AnalysisProbe::default();
+    let start = Instant::now();
+    for _ in 0..passes {
+        for c in &cands {
+            black_box(pool.first_fit_probed(black_box(c), &mut scratch));
+        }
+    }
+    let engine_ns = nanos_since(start) as f64 / calls as f64;
+
+    FitsRun {
+        residents_per_processor: residents,
+        candidates,
+        fits_calls: probe.fits_calls,
+        dbf_terms: probe.dbf_approx_evals,
+        baseline_ns_per_call: baseline_ns,
+        engine_ns_per_call: engine_ns,
+        speedup_vs_baseline: baseline_ns / engine_ns.max(f64::MIN_POSITIVE),
+    }
+}
+
 fn main() -> ExitCode {
     let mut quick = false;
     let mut out = String::from("BENCH_analysis.json");
@@ -641,6 +782,10 @@ fn main() -> ExitCode {
             PriorityPolicy::CriticalPathFirst,
             if quick { 50 } else { 200 },
         ),
+        partition_first_fit: FIT_RESIDENTS
+            .iter()
+            .map(|&n| suite_partition_first_fit(n, 200, if quick { 5 } else { 50 }))
+            .collect(),
     };
 
     for suite in &report.suites {
@@ -673,6 +818,19 @@ fn main() -> ExitCode {
             report.ls_kernel.iters_per_item,
             path.nanos_per_run,
             path.allocs_per_run,
+        );
+    }
+
+    for run in &report.partition_first_fit {
+        println!(
+            "partition_first_fit ({} residents/processor, {} candidates, {} fits calls): \
+             baseline {:.0} ns/call, engine {:.0} ns/call — {:.2}x",
+            run.residents_per_processor,
+            run.candidates,
+            run.fits_calls,
+            run.baseline_ns_per_call,
+            run.engine_ns_per_call,
+            run.speedup_vs_baseline,
         );
     }
 

@@ -21,11 +21,12 @@
 //!
 //! Comparisons are exact for *all* representable rationals (cross products
 //! are evaluated in 256 bits), and addition uses least-common-multiple
-//! denominators to keep intermediates small. Arithmetic still panics if a
-//! reduced result genuinely exceeds `i128`; task parameters in this
-//! workspace are `u64` ticks and generated periods are grid-rounded (see
-//! `fedsched-gen`), which keeps every quantity the analyses sum far inside
-//! that range.
+//! denominators to keep intermediates small. Arithmetic whose result
+//! genuinely exceeds `i128` panics in debug builds but wraps silently in
+//! release builds, which do not enable `overflow-checks`; task parameters
+//! in this workspace are `u64` ticks and generated periods are
+//! grid-rounded (see `fedsched-gen`), which keeps every quantity the
+//! analyses sum far inside that range.
 
 use core::cmp::Ordering;
 use core::fmt;
@@ -43,16 +44,38 @@ pub struct Rational {
     den: i128,
 }
 
-const fn gcd(mut a: i128, mut b: i128) -> i128 {
-    while b != 0 {
-        let r = a % b;
-        a = b;
-        b = r;
+/// The greatest common divisor of `|a|` and `|b|` (`gcd(0, 0) = 0`).
+///
+/// Stein's binary algorithm on the unsigned magnitudes: shifts and
+/// subtractions only, where Euclid's `%` costs a 128-bit division per
+/// step. The one magnitude `i128` cannot hold back, `gcd(i128::MIN, 0) =
+/// gcd(i128::MIN, i128::MIN) = 2^127`, wraps to `i128::MIN`.
+#[must_use]
+pub const fn gcd(a: i128, b: i128) -> i128 {
+    let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
+    // A unit operand, as multiplying by an integer gives, would otherwise
+    // cost one loop pass per bit of the other.
+    if a == 0 || b == 1 {
+        return b as i128;
     }
-    if a < 0 {
-        -a
-    } else {
-        a
+    if b == 0 || a == 1 {
+        return a as i128;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        // `a` is odd here; strip `b`'s factors of two and subtract the
+        // smaller odd value from the larger.
+        b >>= b.trailing_zeros();
+        if a > b {
+            let t = a;
+            a = b;
+            b = t;
+        }
+        b -= a;
+        if b == 0 {
+            return (a << shift) as i128;
+        }
     }
 }
 

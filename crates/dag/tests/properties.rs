@@ -1,7 +1,7 @@
 //! Property-based tests for the model substrate.
 
 use fedsched_dag::graph::{Dag, DagBuilder, VertexId};
-use fedsched_dag::rational::Rational;
+use fedsched_dag::rational::{gcd, Rational};
 use fedsched_dag::task::DagTask;
 use fedsched_dag::time::Duration;
 use proptest::prelude::*;
@@ -172,6 +172,66 @@ proptest! {
         prop_assert!(Rational::from_integer(x.floor()) <= x);
         prop_assert!(x <= Rational::from_integer(x.ceil()));
         prop_assert!(x.ceil() - x.floor() <= 1);
+    }
+}
+
+/// The Euclid loop `Rational` normalised with before the binary `gcd`,
+/// kept as the reference.
+fn euclid_gcd(mut a: i128, mut b: i128) -> i128 {
+    while b != 0 {
+        let r = a % b;
+        a = b;
+        b = r;
+    }
+    a.abs()
+}
+
+/// A `gcd` operand of either sign: zero, small, within 1000 of `u64::MAX`
+/// on either side, or anywhere up to `i128::MAX` in magnitude. `i128::MIN`
+/// is left out: the reference's `%` overflows on it.
+fn arb_gcd_operand() -> impl Strategy<Value = i128> {
+    let near_u64_max = i128::from(u64::MAX);
+    let magnitude = prop_oneof![
+        Just(0i128),
+        1i128..=1_000,
+        (near_u64_max - 1_000)..=(near_u64_max + 1_000),
+        1i128..=i128::MAX,
+    ];
+    (magnitude, any::<bool>()).prop_map(|(m, negative)| if negative { -m } else { m })
+}
+
+proptest! {
+    /// The binary `gcd` agrees with Euclid on raw operands and on operands
+    /// sharing a factor (so that the answer is not almost always 1).
+    #[test]
+    fn binary_gcd_matches_euclid(
+        a in arb_gcd_operand(),
+        b in arb_gcd_operand(),
+        factor in 1i128..=1 << 40,
+    ) {
+        prop_assert_eq!(gcd(a, b), euclid_gcd(a, b));
+        prop_assert_eq!(gcd(b, a), euclid_gcd(a, b));
+        let (a, b) = ((a % (1 << 80)) * factor, (b % (1 << 80)) * factor);
+        prop_assert_eq!(gcd(a, b), euclid_gcd(a, b));
+    }
+}
+
+#[test]
+fn binary_gcd_boundaries() {
+    let max = i128::from(u64::MAX);
+    for (a, b) in [
+        (0, 0),
+        (0, 7),
+        (-7, 0),
+        (1, max + 1),
+        (-(max + 1), 1),
+        (max, max + 1),
+        (max + 1, 1 << 100),
+        (i128::MAX, i128::MAX),
+        (i128::MAX, -i128::MAX),
+        (-(1 << 126), 3 << 120),
+    ] {
+        assert_eq!(gcd(a, b), euclid_gcd(a, b), "gcd({a}, {b})");
     }
 }
 

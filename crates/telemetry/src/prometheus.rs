@@ -167,7 +167,7 @@ pub fn render_probe(prefix: &str, probe: &AnalysisProbe, out: &mut PromText) {
         ),
         (
             "dbf_approx_evals",
-            "Approximate demand-bound (DBF*) evaluations",
+            "DBF* demand terms covered by first-fit tests",
             probe.dbf_approx_evals,
         ),
         (
