@@ -20,7 +20,7 @@
 
 use core::fmt;
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Deserializer, Serialize};
 
 use crate::error::GraphBuildError;
 use crate::time::Duration;
@@ -513,70 +513,206 @@ impl DagBuilder {
 /// and wire requests written before the CSR refactor decode unchanged, and
 /// re-serialization stays byte-identical.
 impl Serialize for Dag {
-    fn to_value(&self) -> Value {
-        let nested = |lists: &mut dyn Iterator<Item = &[VertexId]>| {
-            Value::Seq(lists.map(Serialize::to_value).collect())
-        };
-        Value::Map(vec![
-            ("wcets".to_owned(), self.wcets.to_value()),
-            (
-                "successors".to_owned(),
-                nested(&mut self.vertices().map(|v| self.successors(v))),
-            ),
-            (
-                "predecessors".to_owned(),
-                nested(&mut self.vertices().map(|v| self.predecessors(v))),
-            ),
-            ("edge_count".to_owned(), self.edge_count().to_value()),
-            ("topo".to_owned(), self.topo.to_value()),
-        ])
+    fn serialize(&self, out: &mut String) {
+        out.push_str("{\"wcets\":");
+        self.wcets.serialize(out);
+        out.push_str(",\"successors\":");
+        write_lists(out, &self.succ_offsets, &self.succ_targets);
+        out.push_str(",\"predecessors\":");
+        write_lists(out, &self.pred_offsets, &self.pred_targets);
+        out.push_str(",\"edge_count\":");
+        self.edge_count().serialize(out);
+        out.push_str(",\"topo\":");
+        self.topo.serialize(out);
+        out.push('}');
     }
 }
 
+/// One CSR arena as nested per-vertex lists.
+fn write_lists(out: &mut String, offsets: &[u32], targets: &[VertexId]) {
+    out.push('[');
+    for (v, bounds) in offsets.windows(2).enumerate() {
+        if v > 0 {
+            out.push(',');
+        }
+        targets[bounds[0] as usize..bounds[1] as usize].serialize(out);
+    }
+    out.push(']');
+}
+
+/// Reads a list of vertex ids, reserving `capacity` up front.
+fn read_ids(de: &mut Deserializer<'_>, capacity: usize) -> Result<Vec<VertexId>, DeError> {
+    de.begin_array("Vec")?;
+    let mut ids = Vec::with_capacity(capacity);
+    while de.next_element()? {
+        ids.push(VertexId::deserialize(de)?);
+    }
+    Ok(ids)
+}
+
+/// Reads nested per-vertex lists straight into one CSR arena, reserving
+/// room for `vertices` lists and `edges` targets.
+fn read_lists(
+    de: &mut Deserializer<'_>,
+    vertices: usize,
+    edges: usize,
+) -> Result<(Vec<u32>, Vec<VertexId>), DeError> {
+    de.begin_array("Vec")?;
+    let mut offsets = Vec::with_capacity(vertices + 1);
+    offsets.push(0u32);
+    let mut targets = Vec::with_capacity(edges);
+    while de.next_element()? {
+        de.begin_array("Vec")?;
+        while de.next_element()? {
+            targets.push(VertexId::deserialize(de)?);
+        }
+        let end = u32::try_from(targets.len())
+            .map_err(|_| DeError::custom("Dag edge count exceeds u32 range"))?;
+        offsets.push(end);
+    }
+    Ok((offsets, targets))
+}
+
+/// Decoding checks everything [`DagBuilder::build`] guarantees, so a
+/// decoded graph is as sound as a built one: every id in range, no self or
+/// duplicate edge, predecessor lists that mirror the successor lists, an
+/// `edge_count` that matches them, and a `topo` that is a topological
+/// order (so the graph is acyclic). Unknown keys are skipped and the first
+/// occurrence of a repeated key wins.
 impl Deserialize for Dag {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| DeError::expected("object", "Dag"))?;
-        let field = |key| serde::__map_field(map, key, "Dag");
-        let wcets = Vec::<Duration>::from_value(field("wcets")?)?;
-        let successors = Vec::<Vec<VertexId>>::from_value(field("successors")?)?;
-        let predecessors = Vec::<Vec<VertexId>>::from_value(field("predecessors")?)?;
-        let edge_count = usize::from_value(field("edge_count")?)?;
-        let topo = Vec::<VertexId>::from_value(field("topo")?)?;
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, DeError> {
+        let mut wcets: Option<Vec<Duration>> = None;
+        let mut succ: Option<(Vec<u32>, Vec<VertexId>)> = None;
+        let mut pred: Option<(Vec<u32>, Vec<VertexId>)> = None;
+        let mut edge_count: Option<usize> = None;
+        let mut topo: Option<Vec<VertexId>> = None;
+        de.begin_object("Dag")?;
+        while let Some(key) = de.next_key()? {
+            let slot = match key {
+                "wcets" => 0,
+                "successors" => 1,
+                "predecessors" => 2,
+                "edge_count" => 3,
+                "topo" => 4,
+                _ => 5,
+            };
+            // Size hints from the fields read so far (ours come first).
+            let n = wcets.as_ref().map_or(0, Vec::len);
+            let edges = succ.as_ref().map_or(0, |(_, targets)| targets.len());
+            match slot {
+                0 if wcets.is_none() => wcets = Some(Vec::deserialize(de)?),
+                1 if succ.is_none() => succ = Some(read_lists(de, n, 0)?),
+                2 if pred.is_none() => pred = Some(read_lists(de, n, edges)?),
+                3 if edge_count.is_none() => edge_count = Some(usize::deserialize(de)?),
+                4 if topo.is_none() => topo = Some(read_ids(de, n)?),
+                _ => de.skip_value()?,
+            }
+        }
+        let missing = |field| DeError::missing_field(field, "Dag");
+        Dag::checked(
+            wcets.ok_or_else(|| missing("wcets"))?,
+            succ.ok_or_else(|| missing("successors"))?,
+            pred.ok_or_else(|| missing("predecessors"))?,
+            edge_count.ok_or_else(|| missing("edge_count"))?,
+            topo.ok_or_else(|| missing("topo"))?,
+        )
+    }
+}
+
+impl Dag {
+    /// Assembles a decoded graph after checking it in one `O(|V| + |E|)`
+    /// pass with three scratch arrays.
+    fn checked(
+        wcets: Vec<Duration>,
+        (succ_offsets, succ_targets): (Vec<u32>, Vec<VertexId>),
+        (pred_offsets, pred_targets): (Vec<u32>, Vec<VertexId>),
+        edge_count: usize,
+        topo: Vec<VertexId>,
+    ) -> Result<Dag, DeError> {
         let n = wcets.len();
-        if successors.len() != n || predecessors.len() != n || topo.len() != n {
+        // Vertex ids are `u32`, so `u32::MAX` is free as a "none" marker.
+        if u32::try_from(n).is_err() {
+            return Err(DeError::custom("Dag vertex count exceeds u32 range"));
+        }
+        if succ_offsets.len() != n + 1 || pred_offsets.len() != n + 1 || topo.len() != n {
             return Err(DeError::custom(
                 "Dag adjacency/topo length disagrees with vertex count",
             ));
         }
-        let succ_total: usize = successors.iter().map(Vec::len).sum();
-        let pred_total: usize = predecessors.iter().map(Vec::len).sum();
-        if succ_total != edge_count || pred_total != edge_count {
+        if succ_targets.len() != edge_count || pred_targets.len() != edge_count {
             return Err(DeError::custom("Dag edge_count disagrees with adjacency"));
         }
-        if u32::try_from(edge_count).is_err() {
-            return Err(DeError::custom("Dag edge count exceeds u32 range"));
-        }
         let in_range = |ids: &[VertexId]| ids.iter().all(|id| id.index() < n);
-        if !successors.iter().all(|s| in_range(s))
-            || !predecessors.iter().all(|p| in_range(p))
-            || !in_range(&topo)
-        {
+        if !in_range(&succ_targets) || !in_range(&pred_targets) || !in_range(&topo) {
             return Err(DeError::custom("Dag vertex id out of range"));
         }
-        let flatten = |nested: &[Vec<VertexId>]| {
-            let mut offsets = Vec::with_capacity(n + 1);
-            let mut targets = Vec::with_capacity(edge_count);
-            offsets.push(0u32);
-            for list in nested {
-                targets.extend_from_slice(list);
-                offsets.push(targets.len() as u32);
+        let invalid = |e: GraphBuildError| DeError::custom(format!("invalid Dag: {e}"));
+        let not_topological = || DeError::custom("Dag topo is not a topological order");
+
+        // `topo` must list every vertex once, and every edge must point
+        // forward in it — which also proves the graph acyclic.
+        let mut position = vec![u32::MAX; n];
+        for (i, v) in topo.iter().enumerate() {
+            if position[v.index()] != u32::MAX {
+                return Err(not_topological());
             }
-            (offsets, targets)
-        };
-        let (succ_offsets, succ_targets) = flatten(&successors);
-        let (pred_offsets, pred_targets) = flatten(&predecessors);
+            position[v.index()] = i as u32;
+        }
+        let successors =
+            |v: usize| &succ_targets[succ_offsets[v] as usize..succ_offsets[v + 1] as usize];
+        let mut cursor = vec![0u32; n];
+        for v in 0..n {
+            for &w in successors(v) {
+                if w.index() == v {
+                    return Err(invalid(GraphBuildError::SelfLoop { vertex: w }));
+                }
+                if position[v] > position[w.index()] {
+                    return Err(not_topological());
+                }
+                cursor[w.index()] += 1;
+            }
+        }
+        // The predecessor lists must hold the transposed successor lists
+        // (in any order). Transpose into `mirror`, sliced like them.
+        let mismatch = || DeError::custom("Dag predecessors do not mirror successors");
+        for w in 0..n {
+            if cursor[w] != pred_offsets[w + 1] - pred_offsets[w] {
+                return Err(mismatch());
+            }
+            cursor[w] = pred_offsets[w];
+        }
+        let mut mirror = vec![VertexId(0); edge_count];
+        for v in 0..n {
+            for &w in successors(v) {
+                mirror[cursor[w.index()] as usize] = VertexId(v as u32);
+                cursor[w.index()] += 1;
+            }
+        }
+        // Per vertex `w`, stamp its true predecessors with `w`, then
+        // consume one stamp per listed predecessor: a repeated edge stamps
+        // twice, a listed predecessor that is missing or repeated finds no
+        // stamp. Every stamp is consumed before the next `w`.
+        let stamp = &mut position;
+        stamp.fill(u32::MAX);
+        for w in 0..n {
+            let range = pred_offsets[w] as usize..pred_offsets[w + 1] as usize;
+            let w_id = VertexId(w as u32);
+            for &v in &mirror[range.clone()] {
+                if stamp[v.index()] == w_id.0 {
+                    return Err(invalid(GraphBuildError::DuplicateEdge {
+                        from: v,
+                        to: w_id,
+                    }));
+                }
+                stamp[v.index()] = w_id.0;
+            }
+            for &v in &pred_targets[range] {
+                if stamp[v.index()] != w_id.0 {
+                    return Err(mismatch());
+                }
+                stamp[v.index()] = u32::MAX;
+            }
+        }
         Ok(Dag {
             wcets,
             succ_offsets,

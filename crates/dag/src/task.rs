@@ -7,7 +7,7 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Deserializer, Serialize};
 
 use crate::error::TaskBuildError;
 use crate::graph::{Chain, Dag};
@@ -94,7 +94,7 @@ impl fmt::Display for TaskClass {
 /// assert_eq!(tau1.utilization(), Rational::new(9, 20));
 /// assert!(tau1.is_low_density());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct DagTask {
     dag: Dag,
     deadline: Duration,
@@ -102,6 +102,51 @@ pub struct DagTask {
     // Cached derived quantities.
     volume: Duration,
     longest_chain: Chain,
+}
+
+mod wire {
+    use serde::Deserialize;
+
+    use crate::graph::{Chain, Dag};
+    use crate::time::Duration;
+
+    /// [`super::DagTask`]'s fields as a peer sent them, before any check.
+    /// It shares the task's name so decoding errors read the same.
+    #[derive(Deserialize)]
+    pub(super) struct DagTask {
+        pub(super) dag: Dag,
+        pub(super) deadline: Duration,
+        pub(super) period: Duration,
+        pub(super) volume: Duration,
+        pub(super) longest_chain: Chain,
+    }
+}
+
+/// Decoding enforces [`DagTask::new`]'s invariants and recomputes the
+/// cached quantities, refusing a task whose `volume` or `longest_chain`
+/// (length or witness path) differs from what its graph gives: the
+/// analysis routes and packs tasks by them, so a peer must not be able to
+/// claim its own. The graph itself is checked by [`Dag`]'s decoder.
+impl Deserialize for DagTask {
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, DeError> {
+        let sent = wire::DagTask::deserialize(de)?;
+        let invalid = |what: &dyn fmt::Display| DeError::custom(format!("invalid DagTask: {what}"));
+        // `new` sums the WCETs unchecked; refuse a sum that wraps first.
+        let volume = sent
+            .dag
+            .wcets()
+            .iter()
+            .try_fold(Duration::ZERO, |sum, &w| sum.checked_add(w))
+            .ok_or_else(|| invalid(&"volume overflows"))?;
+        if volume != sent.volume {
+            return Err(invalid(&"volume disagrees with the WCETs"));
+        }
+        let task = DagTask::new(sent.dag, sent.deadline, sent.period).map_err(|e| invalid(&e))?;
+        if task.longest_chain != sent.longest_chain {
+            return Err(invalid(&"longest_chain disagrees with the graph"));
+        }
+        Ok(task)
+    }
 }
 
 impl DagTask {

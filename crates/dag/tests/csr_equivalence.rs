@@ -11,7 +11,7 @@
 use fedsched_dag::graph::{Dag, DagBuilder, VertexId};
 use fedsched_dag::time::Duration;
 use proptest::prelude::*;
-use serde::{Serialize, Value};
+use serde_json::Value;
 use std::collections::VecDeque;
 
 /// The retired representation, rebuilt verbatim from the same edge script:
@@ -177,7 +177,7 @@ proptest! {
 
         // The wire format is frozen: the same five fields, in the same
         // order, with nested per-vertex adjacency lists.
-        let value = dag.to_value();
+        let value: Value = serde_json::from_str(&json).unwrap();
         let Value::Map(fields) = value else {
             return Err(TestCaseError::Fail("Dag must serialise as a map".into()));
         };

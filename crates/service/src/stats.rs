@@ -259,8 +259,10 @@ pub struct TransportStats {
     /// Request frames that exceeded the configured byte cap (the
     /// connection is dropped after a framed `Error`).
     pub oversized_requests: u64,
-    /// Request lines that were not valid UTF-8 JSON (the connection is
-    /// dropped after a framed `Error`).
+    /// Request lines that did not decode to a valid request — not UTF-8,
+    /// not JSON, nested too deep, or an `Admit` whose task fails the
+    /// decoder's checks (the connection is dropped after a framed
+    /// `Error`).
     pub malformed_requests: u64,
     /// Connections dropped because they exhausted the per-connection
     /// request budget.
@@ -629,7 +631,7 @@ pub fn render_prometheus(snapshot: &StatsSnapshot) -> String {
         ),
         (
             "fedsched_malformed_requests_total",
-            "Request lines that were not valid UTF-8 JSON",
+            "Request lines that did not decode to a valid request",
             snapshot.transport.malformed_requests,
         ),
         (

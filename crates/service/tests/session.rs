@@ -1,7 +1,9 @@
 //! The request pipeline driven through in-process sessions: the frame
-//! cap's exact boundary, and pipelined admission — how consecutive
-//! `Admit`s batch, how a batch meets the request budget, and that
-//! batching never changes a single response byte.
+//! cap's exact boundary, pipelined admission — how consecutive `Admit`s
+//! batch, how a batch meets the request budget, and that batching never
+//! changes a single response byte — and hostile lines (nesting bombs,
+//! tasks whose fields lie) that must get a framed error while the server
+//! keeps serving.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -9,17 +11,21 @@ use std::net::TcpStream;
 use fedsched_dag::graph::DagBuilder;
 use fedsched_dag::task::DagTask;
 use fedsched_dag::time::Duration as Ticks;
-use fedsched_service::protocol::{Request, Response};
+use fedsched_service::protocol::{Placement, Request, Response};
 use fedsched_service::{
     serve, AdmissionConfig, ConnectionLimits, ServerConfig, ServerHandle, StatsSnapshot,
 };
 
 fn start(limits: ConnectionLimits) -> ServerHandle {
+    start_on(16, limits)
+}
+
+fn start_on(processors: u32, limits: ConnectionLimits) -> ServerHandle {
     serve(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 1,
         shards: 2,
-        admission: AdmissionConfig::new(16),
+        admission: AdmissionConfig::new(processors),
         limits,
         durability: None,
         handoff_from: None,
@@ -350,4 +356,223 @@ fn a_pipelined_stream_over_tcp_is_answered_as_through_a_session() {
         String::from_utf8_lossy(&tcp)
     );
     assert_eq!(session_view, tcp_view);
+}
+
+/// Sends `line` on a fresh session and returns the one framed error it
+/// must get; the malformed line ends that connection.
+fn refused(handle: &ServerHandle, line: &[u8]) -> String {
+    let mut session = handle.session();
+    let answered = responses(&session.send(line));
+    let [Response::Error { message }] = answered.as_slice() else {
+        panic!("a hostile line must get one framed error, got {answered:?}");
+    };
+    assert!(session.is_closed(), "a malformed line ends the connection");
+    message.clone()
+}
+
+/// An honest admit on a fresh session: the server still serves.
+fn admits_normally(handle: &ServerHandle) {
+    let answered = responses(
+        &handle.session().send(
+            line(&Request::Admit {
+                task: task(0),
+                trace_id: None,
+                echo_timing: false,
+            })
+            .as_bytes(),
+        ),
+    );
+    assert!(
+        matches!(answered.as_slice(), [Response::Admitted { .. }]),
+        "after a hostile line the server must admit normally: {answered:?}"
+    );
+}
+
+#[test]
+fn nesting_bombs_get_a_framed_error_and_the_server_keeps_serving() {
+    let handle = start(ConnectionLimits::default());
+    let bombs = [
+        format!("{{\"Admit\":{}\n", "[".repeat(10_000)),
+        format!("{{\"Admit\":{{\"added_later\":{}\n", "[".repeat(100_000)),
+    ];
+    for (i, bomb) in bombs.iter().enumerate() {
+        let message = refused(&handle, bomb.as_bytes());
+        assert!(!message.is_empty(), "bomb {i}");
+        assert_eq!(handle.transport_stats().malformed_requests, i as u64 + 1);
+        admits_normally(&handle);
+    }
+    let deep = "[".repeat(100_000);
+    assert!(serde_json::from_str::<serde_json::Value>(&deep).is_err());
+    handle.shutdown();
+}
+
+/// `task`'s wire form with `edit` applied to its top-level fields.
+fn tampered(task: &DagTask, edit: impl FnOnce(&mut Vec<(String, serde_json::Value)>)) -> String {
+    let text = serde_json::to_string(task).expect("serialize task");
+    let mut value: serde_json::Value = serde_json::from_str(&text).expect("task is JSON");
+    let serde_json::Value::Map(fields) = &mut value else {
+        panic!("a task is an object");
+    };
+    edit(fields);
+    format!(
+        "{{\"Admit\":{{\"task\":{},\"trace_id\":null}}}}\n",
+        serde_json::to_string(&value).expect("serialize value")
+    )
+}
+
+fn set(fields: &mut [(String, serde_json::Value)], key: &str, json: &str) {
+    let slot = fields
+        .iter_mut()
+        .find(|(k, _)| k == key)
+        .unwrap_or_else(|| panic!("no field {key}"));
+    slot.1 = serde_json::from_str(json).expect("replacement is JSON");
+}
+
+#[test]
+fn tasks_whose_fields_lie_are_refused_and_never_reach_the_analysis() {
+    let handle = start_on(4, ConnectionLimits::default());
+    let mut b = DagBuilder::new();
+    b.add_vertices([9, 9, 9, 9].map(Ticks::new));
+    let wide = DagTask::new(b.build().expect("builds"), Ticks::new(10), Ticks::new(10))
+        .expect("valid task");
+    assert!(
+        wide.density().ceil() == 4,
+        "δ = 3.6 needs a 4-processor cluster"
+    );
+    let pair = {
+        let mut b = DagBuilder::new();
+        b.add_vertices([1, 1].map(Ticks::new));
+        DagTask::new(b.build().expect("builds"), Ticks::new(5), Ticks::new(5)).expect("valid")
+    };
+    let cases = [
+        // δ computed from a claimed volume of 1 would route it to the
+        // shared pool, where it misses deadlines for certain.
+        (
+            "understated volume and chain",
+            tampered(&wide, |f| {
+                set(f, "volume", "1");
+                set(f, "longest_chain", r#"{"length":1,"vertices":[0]}"#);
+            }),
+        ),
+        (
+            "zero deadline",
+            tampered(&wide, |f| set(f, "deadline", "0")),
+        ),
+        ("zero period", tampered(&wide, |f| set(f, "period", "0"))),
+        (
+            "two-vertex cycle",
+            tampered(&pair, |f| {
+                set(
+                    f,
+                    "dag",
+                    r#"{"wcets":[1,1],"successors":[[1],[0]],"predecessors":[[1],[0]],"edge_count":2,"topo":[0,1]}"#,
+                );
+            }),
+        ),
+        (
+            "zero WCET",
+            tampered(&pair, |f| {
+                set(
+                    f,
+                    "dag",
+                    r#"{"wcets":[0,1],"successors":[[],[]],"predecessors":[[],[]],"edge_count":0,"topo":[0,1]}"#,
+                );
+                set(f, "volume", "1");
+            }),
+        ),
+        (
+            "empty DAG",
+            tampered(&pair, |f| {
+                set(
+                    f,
+                    "dag",
+                    r#"{"wcets":[],"successors":[],"predecessors":[],"edge_count":0,"topo":[]}"#,
+                );
+                set(f, "volume", "0");
+                set(f, "longest_chain", r#"{"length":0,"vertices":[]}"#);
+            }),
+        ),
+        (
+            "chain vertex out of range",
+            tampered(&pair, |f| {
+                set(f, "longest_chain", r#"{"length":1,"vertices":[7]}"#);
+            }),
+        ),
+        (
+            "topo repeats a vertex",
+            tampered(&pair, |f| {
+                set(
+                    f,
+                    "dag",
+                    r#"{"wcets":[1,1],"successors":[[],[]],"predecessors":[[],[]],"edge_count":0,"topo":[1,1]}"#,
+                );
+            }),
+        ),
+        (
+            "predecessors do not mirror successors",
+            tampered(&pair, |f| {
+                set(
+                    f,
+                    "dag",
+                    r#"{"wcets":[1,1],"successors":[[1],[]],"predecessors":[[],[]],"edge_count":1,"topo":[0,1]}"#,
+                );
+            }),
+        ),
+        (
+            "duplicate edge",
+            tampered(&pair, |f| {
+                set(
+                    f,
+                    "dag",
+                    r#"{"wcets":[1,1],"successors":[[1,1],[]],"predecessors":[[],[0,0]],"edge_count":2,"topo":[0,1]}"#,
+                );
+            }),
+        ),
+        (
+            "volume that wraps",
+            tampered(&pair, |f| {
+                set(
+                    f,
+                    "dag",
+                    r#"{"wcets":[18446744073709551615,2],"successors":[[],[]],"predecessors":[[],[]],"edge_count":0,"topo":[0,1]}"#,
+                );
+                set(f, "volume", "1");
+            }),
+        ),
+    ];
+    for (i, (case, line)) in cases.iter().enumerate() {
+        let message = refused(&handle, line.as_bytes());
+        assert!(
+            message.contains("Dag") || message.contains("DagTask"),
+            "{case}: {message}"
+        );
+        assert_eq!(
+            handle.transport_stats().malformed_requests,
+            i as u64 + 1,
+            "{case}: counted as malformed"
+        );
+    }
+    // Nothing hostile was admitted; the honest wide task still gets its
+    // 4-processor cluster.
+    let answered = responses(
+        &handle.session().send(
+            line(&Request::Admit {
+                task: wide,
+                trace_id: None,
+                echo_timing: false,
+            })
+            .as_bytes(),
+        ),
+    );
+    assert!(
+        matches!(
+            answered.as_slice(),
+            [Response::Admitted {
+                placement: Placement::Dedicated { processors: 4, .. },
+                ..
+            }]
+        ),
+        "{answered:?}"
+    );
+    handle.shutdown();
 }
