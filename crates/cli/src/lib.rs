@@ -982,25 +982,20 @@ pub fn serve_banner(opts: &ServeOptions, handle: &fedsched_service::ServerHandle
         opts.limits.max_frame_bytes,
         opts.limits.max_requests_per_connection,
     );
-    let shard_stats = handle.shard_stats();
     let _ = writeln!(
         out,
-        "  admission plane: {} shard(s){} holding {} connection permit(s), template-cache cap {}",
-        shard_stats.len(),
+        "  admission plane: {} shard(s){} sharing {} connection permit(s), template-cache cap {}",
+        handle.shard_stats().len(),
         if opts.shards == 0 {
             " (auto: one per core)"
         } else {
             ""
         },
-        shard_stats.iter().map(|s| s.permits).sum::<u64>(),
+        opts.limits.max_connections.max(1),
         if opts.template_cache_cap == 0 {
             "unbounded".to_owned()
         } else {
-            format!(
-                "{} entr(ies) in total, {} per compute partition",
-                opts.template_cache_cap,
-                fedsched_service::server::partition_cap(opts.template_cache_cap, shard_stats.len()),
-            )
+            format!("{} entr(ies)", opts.template_cache_cap)
         },
     );
     let _ = writeln!(
@@ -1862,7 +1857,7 @@ mod tests {
     }
 
     #[test]
-    fn serve_banner_reports_the_total_cache_cap_and_each_partition_share() {
+    fn serve_banner_reports_the_connection_and_cache_caps() {
         let opts = ServeOptions {
             addr: "127.0.0.1:0".into(),
             workers: 1,
@@ -1874,12 +1869,12 @@ mod tests {
         let banner = serve_banner(&opts, &handle);
         handle.shutdown();
         assert!(
-            banner.contains("4 shard(s) holding 256 connection permit(s)"),
+            banner.contains("4 shard(s) sharing 256 connection permit(s)"),
             "banner: {banner}"
         );
         assert!(
-            banner.contains("template-cache cap 10 entr(ies) in total, 3 per compute partition"),
-            "ceil(10 / 4) entries per partition: {banner}"
+            banner.contains("template-cache cap 10 entr(ies)\n"),
+            "banner: {banner}"
         );
         assert!(!banner.contains("connection plane:"), "banner: {banner}");
     }

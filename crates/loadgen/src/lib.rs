@@ -280,9 +280,8 @@ pub struct SweepReport {
     #[serde(skip_serializing_if = "Option::is_none")]
     pub metrics_validated: Option<bool>,
     /// Post-sweep per-shard occupancy: how the server's connection plane
-    /// spread this sweep's work across its shards (connections served,
-    /// permit steals, batching, compute-cache partition traffic). Empty
-    /// when the stats probe failed or the server predates sharding.
+    /// spread this sweep's connections across its shards. Empty when the
+    /// stats probe failed or the server predates sharding.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub shards: Vec<ShardOccupancy>,
     /// The connection-scaling ladder ridden after the rate sweep: fixed
@@ -421,40 +420,15 @@ pub fn run_connection_scaling(addr: &str, config: &ScalingConfig) -> ConnectionS
 pub struct ShardOccupancy {
     /// The shard's index, `0..shards`.
     pub shard: u64,
-    /// Connection permits the shard owns.
-    pub permits: u64,
-    /// Connections it served over the server's lifetime.
+    /// Connections homed on it over the server's lifetime.
     pub connections_served: u64,
-    /// Connections that borrowed one of its permits because their home
-    /// shard was full.
-    pub permit_steals: u64,
-    /// Connections turned away with `Busy` when homed here.
-    pub busy_rejections: u64,
-    /// Admission requests it served.
-    pub admit_requests: u64,
-    /// Admission requests that committed inside a pipelined batch.
-    pub batched_requests: u64,
-    /// Hits in its compute-cache partition.
-    pub compute_hits: u64,
-    /// Misses in its compute-cache partition.
-    pub compute_misses: u64,
-    /// Evictions from its compute-cache partition.
-    pub compute_evictions: u64,
 }
 
 impl From<&ShardStatsSnapshot> for ShardOccupancy {
     fn from(s: &ShardStatsSnapshot) -> ShardOccupancy {
         ShardOccupancy {
             shard: s.shard,
-            permits: s.permits,
             connections_served: s.connections_served,
-            permit_steals: s.permit_steals,
-            busy_rejections: s.busy_rejections,
-            admit_requests: s.admit_requests,
-            batched_requests: s.batched_requests,
-            compute_hits: s.compute_hits,
-            compute_misses: s.compute_misses,
-            compute_evictions: s.compute_evictions,
         }
     }
 }
@@ -925,22 +899,7 @@ pub fn render_report(report: &SweepReport) -> String {
     if !report.shards.is_empty() {
         let _ = writeln!(out, "shard occupancy ({} shard(s)):", report.shards.len());
         for s in &report.shards {
-            let _ = writeln!(
-                out,
-                "  shard {}: {} conn(s) over {} permit(s) \
-                 [steals-lent {}, busy {}], {} admit(s) ({} batched), \
-                 compute cache {} hit(s) / {} miss(es) / {} evicted",
-                s.shard,
-                s.connections_served,
-                s.permits,
-                s.permit_steals,
-                s.busy_rejections,
-                s.admit_requests,
-                s.batched_requests,
-                s.compute_hits,
-                s.compute_misses,
-                s.compute_evictions,
-            );
+            let _ = writeln!(out, "  shard {}: {} conn(s)", s.shard, s.connections_served);
         }
     }
     if let Some(scaling) = &report.connection_scaling {

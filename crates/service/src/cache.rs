@@ -17,8 +17,8 @@
 //! unreferenced victim to evict. The sweep is a pure function of the
 //! lookup/insert sequence, so two servers driven by the same decision
 //! sequence hold byte-identical caches regardless of wall time or thread
-//! interleaving; that is what lets WAL replay and the sharded admission
-//! plane reproduce cache contents exactly.
+//! interleaving; that is what lets WAL replay and servers at any shard
+//! count reproduce cache contents exactly.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -38,19 +38,6 @@ pub struct CachedSizing {
     pub processors: u32,
     /// The witnessing LS template schedule.
     pub template: Arc<TemplateSchedule>,
-}
-
-/// A sizing computed outside the authoritative cache's lock (by a shard's
-/// compute partition), handed to [`TemplateCache::sizing_seeded`] so the
-/// commit path can consume it instead of re-running `MINPROCS` inline.
-#[derive(Debug, Clone)]
-pub struct SeededSizing {
-    /// The precomputed sizing (`None` = chain-infeasible shape).
-    pub sizing: Option<CachedSizing>,
-    /// The analysis cost of the compute, merged into the state's probe on
-    /// an authoritative miss — exactly the counters an inline compute
-    /// would have produced (MINPROCS is deterministic).
-    pub probe: AnalysisProbe,
 }
 
 #[derive(Debug)]
@@ -116,22 +103,6 @@ impl TemplateCache {
         policy: PriorityPolicy,
         probe: &mut AnalysisProbe,
     ) -> (Option<CachedSizing>, bool) {
-        self.sizing_seeded(task, policy, probe, None)
-    }
-
-    /// [`Self::sizing_probed`] that, on a miss, consumes a sizing already
-    /// computed off-lock (by a shard's compute partition) instead of
-    /// running `MINPROCS` inline. The seed's probe delta is merged so the
-    /// cumulative probe is byte-identical to an inline compute; on a hit
-    /// the seed is discarded (the duplicate compute stays invisible, as it
-    /// must for counter determinism across shard counts).
-    pub fn sizing_seeded(
-        &mut self,
-        task: &DagTask,
-        policy: PriorityPolicy,
-        probe: &mut AnalysisProbe,
-        seed: Option<SeededSizing>,
-    ) -> (Option<CachedSizing>, bool) {
         let key = canonical_key(task, policy);
         if let Some(slot) = self.map.get_mut(&key) {
             slot.referenced = true;
@@ -141,55 +112,12 @@ impl TemplateCache {
         }
         self.misses += 1;
         probe.cache_misses = probe.cache_misses.saturating_add(1);
-        let computed = match seed {
-            Some(seed) => {
-                probe.merge(&seed.probe);
-                seed.sizing
-            }
-            None => intrinsic_min_procs_probed(task, policy, probe).map(|r| CachedSizing {
-                processors: r.processors,
-                template: Arc::new(r.template),
-            }),
-        };
+        let computed = intrinsic_min_procs_probed(task, policy, probe).map(|r| CachedSizing {
+            processors: r.processors,
+            template: Arc::new(r.template),
+        });
         self.insert_new(key, computed.clone());
         (computed, false)
-    }
-
-    /// A pure lookup for a shard's compute partition: bumps hit/miss
-    /// counters and the referenced bit, but never computes. `None` means
-    /// the shape is not resident; `Some(sizing)` is the memoized result.
-    pub fn lookup(
-        &mut self,
-        task: &DagTask,
-        policy: PriorityPolicy,
-    ) -> Option<Option<CachedSizing>> {
-        let key = canonical_key(task, policy);
-        match self.map.get_mut(&key) {
-            Some(slot) => {
-                slot.referenced = true;
-                self.hits += 1;
-                Some(slot.sizing.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Inserts a computed sizing unless the shape is already resident
-    /// (a concurrent compute may have raced it in), evicting if at
-    /// capacity.
-    pub fn insert_if_vacant(
-        &mut self,
-        task: &DagTask,
-        policy: PriorityPolicy,
-        sizing: Option<CachedSizing>,
-    ) {
-        let key = canonical_key(task, policy);
-        if !self.map.contains_key(&key) {
-            self.insert_new(key, sizing);
-        }
     }
 
     /// Inserts a fresh key, evicting via the clock sweep when at capacity.
@@ -229,7 +157,7 @@ impl TemplateCache {
         self.hits
     }
 
-    /// Lookups that had to run `MINPROCS` (or found nothing resident).
+    /// Lookups that had to run `MINPROCS`.
     #[must_use]
     pub fn misses(&self) -> u64 {
         self.misses
@@ -340,133 +268,6 @@ impl TemplateCache {
         }
         cache
     }
-}
-
-/// One shard's compute-side cache partition: memoized `MINPROCS` sizings
-/// *plus the probe counters their computation produced*, so a later
-/// authoritative miss can merge the stored counters and stay
-/// byte-identical to an inline recompute (`MINPROCS` is deterministic,
-/// so a recompute would produce exactly the stored counters again).
-///
-/// Partitions are pure accelerators: their contents never decide an
-/// admission — the authoritative [`TemplateCache`] inside the ledger
-/// does — and their hit/miss traffic never reaches the state's probe, so
-/// the eviction order here needs no cross-shard-count determinism. A
-/// clock sweep like the authoritative cache's bounds resident memory.
-#[derive(Debug, Default)]
-pub struct ComputePartition {
-    map: HashMap<Box<[u64]>, (SeededSizing, bool)>,
-    ring: Vec<Box<[u64]>>,
-    hand: usize,
-    cap: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl ComputePartition {
-    /// An empty partition holding at most `cap` entries (`0` = unbounded).
-    #[must_use]
-    pub fn with_capacity(cap: usize) -> ComputePartition {
-        ComputePartition {
-            cap,
-            ..ComputePartition::default()
-        }
-    }
-
-    /// The memoized compute result for `task`, or `None` if the shape is
-    /// not resident in this partition. Bumps the hit/miss counters and the
-    /// referenced bit.
-    pub fn lookup(&mut self, task: &DagTask, policy: PriorityPolicy) -> Option<SeededSizing> {
-        let key = canonical_key(task, policy);
-        match self.map.get_mut(&key) {
-            Some((entry, referenced)) => {
-                *referenced = true;
-                self.hits += 1;
-                Some(entry.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Memoizes a compute result unless the shape is already resident (a
-    /// concurrent compute of the same shape may have raced it in), evicting
-    /// by clock sweep at capacity.
-    pub fn insert(&mut self, task: &DagTask, policy: PriorityPolicy, entry: SeededSizing) {
-        let key = canonical_key(task, policy);
-        if self.map.contains_key(&key) {
-            return;
-        }
-        if self.cap != 0 && self.ring.len() >= self.cap {
-            loop {
-                let victim = self.ring[self.hand].clone();
-                let (_, referenced) = self.map.get_mut(&victim).expect("ring keys are resident");
-                if *referenced {
-                    *referenced = false;
-                    self.hand = (self.hand + 1) % self.ring.len();
-                } else {
-                    self.map.remove(&victim);
-                    self.evictions += 1;
-                    self.ring[self.hand] = key.clone();
-                    self.hand = (self.hand + 1) % self.ring.len();
-                    break;
-                }
-            }
-        } else {
-            self.ring.push(key.clone());
-        }
-        self.map.insert(key, (entry, false));
-    }
-
-    /// Lookups that found a memoized compute.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that found nothing resident (each one costs a `MINPROCS`
-    /// run outside the admission lock).
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Entries evicted by the capacity bound.
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Number of resident shapes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether nothing is memoized yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
-/// A stable 64-bit hash of the canonical cache key (FNV-1a over its
-/// words). The sharded admission plane routes a task to the compute-cache
-/// partition `shape_hash % shards`, so every connection resolves the same
-/// shape on the same shard regardless of which acceptor handled it.
-#[must_use]
-pub fn shape_hash(task: &DagTask, policy: PriorityPolicy) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for word in canonical_key(task, policy).iter() {
-        for byte in word.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
 }
 
 /// The canonical encoding of everything `MINPROCS` reads: policy, relative
@@ -672,74 +473,5 @@ mod tests {
         assert_eq!(absorbed, 3, "absorption stops at the cap");
         assert_eq!(bounded.len(), 4);
         assert_eq!(bounded.evictions(), 0, "absorption never evicts residents");
-    }
-
-    #[test]
-    fn compute_partition_memoizes_sizing_and_probe_under_a_cap() {
-        let mut part = ComputePartition::with_capacity(2);
-        let policy = PriorityPolicy::ListOrder;
-        assert!(part.lookup(&shape(0), policy).is_none());
-        let mut probe = AnalysisProbe::default();
-        let sizing =
-            intrinsic_min_procs_probed(&shape(0), policy, &mut probe).map(|r| CachedSizing {
-                processors: r.processors,
-                template: Arc::new(r.template),
-            });
-        part.insert(&shape(0), policy, SeededSizing { sizing, probe });
-        let warm = part.lookup(&shape(0), policy).expect("resident");
-        assert_eq!(warm.probe.ls_runs, probe.ls_runs, "stored compute cost");
-        assert!(warm.sizing.is_some());
-        // Duplicate insert of a resident shape is a no-op.
-        part.insert(
-            &shape(0),
-            policy,
-            SeededSizing {
-                sizing: None,
-                probe: AnalysisProbe::default(),
-            },
-        );
-        assert!(part.lookup(&shape(0), policy).unwrap().sizing.is_some());
-        // The cap holds: a third distinct shape evicts.
-        for i in [1u64, 2] {
-            part.lookup(&shape(i), policy);
-            part.insert(
-                &shape(i),
-                policy,
-                SeededSizing {
-                    sizing: None,
-                    probe: AnalysisProbe::default(),
-                },
-            );
-        }
-        assert_eq!(part.len(), 2);
-        assert_eq!(part.evictions(), 1);
-        assert_eq!(part.hits(), 2);
-        assert_eq!(part.misses(), 3);
-    }
-
-    #[test]
-    fn shape_hash_matches_cache_identity() {
-        let a = shape(1);
-        let b = shape(1);
-        let c = shape(2);
-        assert_eq!(
-            shape_hash(&a, PriorityPolicy::ListOrder),
-            shape_hash(&b, PriorityPolicy::ListOrder)
-        );
-        assert_ne!(
-            shape_hash(&a, PriorityPolicy::ListOrder),
-            shape_hash(&c, PriorityPolicy::ListOrder)
-        );
-        assert_ne!(
-            shape_hash(&a, PriorityPolicy::ListOrder),
-            shape_hash(&a, PriorityPolicy::CriticalPathFirst)
-        );
-        // Period never splits the cache, so it never splits the route.
-        let other_period =
-            DagTask::sequential(Duration::new(2), Duration::new(3), Duration::new(999)).unwrap();
-        assert_eq!(
-            shape_hash(&shape(1), PriorityPolicy::ListOrder),
-            shape_hash(&other_period, PriorityPolicy::ListOrder)
-        );
     }
 }

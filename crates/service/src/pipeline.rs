@@ -14,8 +14,7 @@ use fedsched_telemetry::CounterKind;
 
 use crate::protocol::{write_message, Request, Response};
 use crate::server::{
-    bump, dispatch, dispatch_admit_batch, lock, log_slow_request, serve_metrics_http, AdmitItem,
-    Shard, Shared, StageTimer, ADMIT_BATCH_MAX,
+    bump, dispatch, lock, log_slow_request, serve_metrics_http, Shard, Shared, StageTimer,
 };
 use crate::stats::RequestStage;
 
@@ -70,15 +69,16 @@ pub(crate) fn decode_frames(pending: &mut Vec<u8>, bytes: &[u8], cap: usize) -> 
 }
 
 /// One frame, classified once.
+// `Request` dominates the size, as in the protocol enum itself: lines are
+// classified one at a time and consumed at once, never stored in bulk.
+#[allow(clippy::large_enum_variant)]
 enum Line {
     /// Whitespace only: skipped.
     Blank,
     /// A `GET /metrics` scrape: answered over HTTP, then the connection
     /// closes.
     Metrics,
-    /// A parsed `Admit`, batched with the `Admit`s right behind it.
-    Admit(AdmitItem),
-    /// Any other parsed request.
+    /// A parsed request.
     Request(Request, StageTimer),
     /// Not UTF-8 or not a request: answered with a framed error, then the
     /// connection closes (line framing gives no reliable resync point).
@@ -99,19 +99,7 @@ fn classify(frame: &[u8], mut timer: StageTimer) -> Line {
     match serde_json::from_str::<Request>(trimmed) {
         Ok(request) => {
             timer.stamp(RequestStage::Parse);
-            match request {
-                Request::Admit {
-                    task,
-                    trace_id,
-                    echo_timing,
-                } => Line::Admit(AdmitItem {
-                    task,
-                    trace_id,
-                    echo_timing,
-                    timer,
-                }),
-                other => Line::Request(other, timer),
-            }
+            Line::Request(request, timer)
         }
         Err(e) => Line::Malformed(e.to_string()),
     }
@@ -173,11 +161,9 @@ impl Outcome {
 /// carries the first frame's measured idle-wait and frame-read
 /// intervals; later frames were already buffered.
 ///
-/// Consecutive `Admit`s form one batch decided under one ledger
-/// acquisition — at most `ADMIT_BATCH_MAX` of them, and never past the
-/// connection's request budget; blank lines inside a run do not break it.
-/// Every counter bump, error string, and response is produced here and
-/// nowhere else, whatever transport carried the bytes.
+/// Every request is answered by [`dispatch`] in arrival order. Every
+/// counter bump, error string, and response is produced here and nowhere
+/// else, whatever transport carried the bytes.
 pub(crate) fn process_lines(
     shared: &Shared,
     shard: &Shard,
@@ -192,8 +178,6 @@ pub(crate) fn process_lines(
         .iter()
         .enumerate()
         .map(|(i, frame)| classify(frame, if i == 0 { first } else { buffered_timer() }));
-    // The line that ended an `Admit` run, answered right after the batch.
-    let mut pending = None;
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             bump(&shared.counters.drained_connections);
@@ -201,7 +185,7 @@ pub(crate) fn process_lines(
             out.close = true;
             return out;
         }
-        let Some(line) = pending.take().or_else(|| lines.next()) else {
+        let Some(line) = lines.next() else {
             if !frames.oversized {
                 return out;
             }
@@ -221,49 +205,17 @@ pub(crate) fn process_lines(
                 bump(&shared.counters.malformed_requests);
                 return out.fail(message);
             }
-            Line::Admit(item) => {
-                let mut batch = vec![item];
-                while batch.len() < ADMIT_BATCH_MAX
-                    && served + out.served_delta + (batch.len() as u64) < budget
-                {
-                    match lines.next() {
-                        None => break,
-                        Some(Line::Blank) => {}
-                        Some(Line::Admit(item)) => batch.push(item),
-                        Some(other) => {
-                            pending = Some(other);
-                            break;
-                        }
-                    }
-                }
-                let batch_len = batch.len() as u64;
-                for answered in dispatch_admit_batch(batch, shared, shard) {
-                    out.answer(
-                        shared,
-                        shard,
-                        &answered.response,
-                        answered.timer,
-                        answered.trace_id,
-                    );
-                }
-                shard
-                    .counters
-                    .admit_requests
-                    .fetch_add(batch_len, Ordering::Relaxed);
-                if batch_len > 1 {
-                    shard
-                        .counters
-                        .batched_requests
-                        .fetch_add(batch_len, Ordering::Relaxed);
-                }
-            }
             Line::Request(request, mut timer) => {
                 let stop = matches!(request, Request::Shutdown);
                 if stop {
                     shared.shutdown.store(true, Ordering::Release);
                 }
+                let trace_id = match &request {
+                    Request::Admit { trace_id, .. } => *trace_id,
+                    _ => None,
+                };
                 let response = dispatch(request, shared, shard, &mut timer);
-                out.answer(shared, shard, &response, timer, None);
+                out.answer(shared, shard, &response, timer, trace_id);
                 if stop {
                     out.close = true;
                     out.triggered_shutdown = true;

@@ -228,7 +228,7 @@ enum ConnState {
 struct Conn {
     stream: TcpStream,
     /// Held for the connection's lifetime; dropping it releases the
-    /// shard-gate slot.
+    /// connection-gate slot.
     _permit: Permit,
     state: ConnState,
     /// The unterminated frame; `len() < max_frame_bytes` always.

@@ -22,35 +22,24 @@
 //! # The sharded connection plane
 //!
 //! With [`ServerConfig::shards`] set to `N` (default: one shard per
-//! available core), the connection permits, the epoll reactors,
-//! per-stage histograms, and the `MINPROCS` compute cache are partitioned
-//! `N` ways into shards:
+//! available core), the epoll reactors and the per-stage histograms are
+//! partitioned `N` ways into shards:
 //!
-//! * **Round-robin fan-out with stealing** — the acceptor assigns each
-//!   connection a *home shard* round-robin; if the home shard's permits
-//!   are exhausted it steals a permit from the first sibling with one
-//!   free, and only when *every* shard is full does the client get
-//!   `Busy`. Admission never queues behind a saturated shard.
+//! * **One gate, round-robin homes** — every connection holds a permit
+//!   of one gate sized [`ConnectionLimits::max_connections`], whichever
+//!   shard it lands on, so `Busy` means exactly that `max_connections`
+//!   connections are live. The acceptor homes each admitted connection
+//!   on a shard round-robin.
 //! * **One reactor per shard** — a nonblocking event loop owns every
 //!   socket homed on the shard and decodes frames as bytes arrive;
 //!   decoded frames are answered off the loop by a small dispatch pool
 //!   and the responses handed back to the loop to write.
-//! * **Shape-routed compute partitions** — each shard owns a
-//!   [`ComputePartition`], and a DAG shape deterministically routes to
-//!   partition `shape_hash % N` (not the connection's home shard), so
-//!   concurrent admissions of the same shape contend on one small
-//!   partition lock instead of the ledger. The expensive `MINPROCS`
-//!   sizing runs *off every lock* (its internal fedsched-parallel workers
-//!   fan out from the request path), and the ledger consumes the
-//!   precomputed result as a *seed*: decisions, counters, and cache
-//!   contents stay byte-identical to the single-lock engine at any shard
-//!   count, because the authoritative [`AdmissionState`] still orders
-//!   every decision and a seed carries the exact probe an inline compute
-//!   would have produced.
-//! * **Batched admission** — a pipelining client's consecutive `Admit`
-//!   lines that arrived together are decided as one batch (up to
-//!   `ADMIT_BATCH_MAX` per ledger acquisition), amortizing lock traffic
-//!   without ever waiting on the socket for more input.
+//! * **One dispatch per request** — every request, `Admit` included, is
+//!   answered by `dispatch` under one ledger acquisition. The ledger's
+//!   one [`TemplateCache`](crate::cache::TemplateCache) sizes a
+//!   high-density task inline on a miss, under the lock, beside the
+//!   first-fit suffix replay a low-density admit already runs there; a
+//!   hit costs one lookup, and a low-density admit touches no cache.
 //! * **One WAL sequencer** — durable decisions are sequenced by a single
 //!   background thread: dispatch workers enqueue their log records *while
 //!   still holding the state lock* (so WAL order equals decision order,
@@ -97,22 +86,18 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use fedsched_analysis::probe::AnalysisProbe;
-use fedsched_core::minprocs::intrinsic_min_procs_probed;
-use fedsched_dag::task::DagTask;
 use fedsched_durable::{
     list_snapshots, load_snapshot, DurableStore, LogRecord, StoreConfig, FORMAT_VERSION,
 };
-use fedsched_graham::list::PriorityPolicy;
 use fedsched_telemetry::{monotonic_nanos, CounterKind, SpanPhase, TelemetryEvent, TraceId};
 
-use crate::cache::{shape_hash, CachedSizing, ComputePartition, SeededSizing};
+use crate::cache::CachedSizing;
 use crate::pipeline::process_lines;
 pub use crate::pipeline::Session;
 use crate::protocol::{write_message, Request, RequestTiming, Response};
 use crate::reactor::{reactor_loop, JobQueue, ReactorShared};
 use crate::recovery::{admit_records, recover_state, remove_record, ReplayReport};
-use crate::state::{AdmissionConfig, AdmissionState, Admitted, RejectReason};
+use crate::state::{AdmissionConfig, AdmissionState};
 use crate::stats::{
     render_prometheus, DurabilityStats, LatencyHistogram, RequestStage, ShardStatsSnapshot,
     StageStats, StatsSnapshot, TransportStats, LATENCY_BUCKETS, REQUEST_STAGES,
@@ -198,13 +183,13 @@ pub struct ServerConfig {
     /// bounded by [`ConnectionLimits::max_connections`], not by this
     /// count.
     pub workers: usize,
-    /// Shard count of the connection plane (`--shards`): connection
-    /// permits, epoll reactors, per-stage histograms, and the `MINPROCS`
-    /// compute cache are partitioned this many ways (see the module
-    /// docs). `0` means
-    /// auto — one shard per available core. Admission outcomes are
-    /// byte-identical at any shard count; this knob only trades lock
-    /// contention against per-shard bookkeeping.
+    /// Shard count of the connection plane (`--shards`): the epoll
+    /// reactors and per-stage histograms are partitioned this many ways,
+    /// while the connection permits, the template cache and the ledger
+    /// stay one each (see the module docs). `0` means auto — one shard
+    /// per available core. Admission outcomes are byte-identical at any
+    /// shard count; this knob only sets how many event loops share the
+    /// connections.
     pub shards: usize,
     /// The admission-control platform and FEDCONS knobs.
     pub admission: AdmissionConfig,
@@ -490,17 +475,6 @@ impl Drop for Permit {
     }
 }
 
-/// Lock-free per-shard counters, mirroring the [`TransportCounters`]
-/// design; snapshot via [`shard_snapshots`].
-#[derive(Debug, Default)]
-pub(crate) struct ShardCounters {
-    pub(crate) connections_served: AtomicU64,
-    pub(crate) permit_steals: AtomicU64,
-    pub(crate) busy_rejections: AtomicU64,
-    pub(crate) admit_requests: AtomicU64,
-    pub(crate) batched_requests: AtomicU64,
-}
-
 /// Lock-free counters of one shard's epoll reactor, exposed as the
 /// `fedsched_reactor_*` metric families.
 #[derive(Debug, Default)]
@@ -513,53 +487,27 @@ pub(crate) struct ReactorCounters {
     pub(crate) ready_events: AtomicU64,
 }
 
-/// One shard of the connection plane: its slice of the connection
-/// permits, its stage histograms, and its shape-routed compute-cache
-/// partition. See the module docs.
+/// One shard of the connection plane: its reactor's counters, its stage
+/// histograms, and the connections homed on it. See the module docs.
 #[derive(Debug)]
 pub(crate) struct Shard {
     pub(crate) index: usize,
-    pub(crate) gate: Arc<Gate>,
-    pub(crate) counters: ShardCounters,
+    pub(crate) connections_served: AtomicU64,
     pub(crate) reactor: ReactorCounters,
     pub(crate) stages: StageCounters,
-    pub(crate) compute: Mutex<ComputePartition>,
-}
-
-/// Locks a shard's compute partition, recovering from poison (the
-/// partition is a pure memo table; any consistent point is fine).
-fn lock_partition(partition: &Mutex<ComputePartition>) -> MutexGuard<'_, ComputePartition> {
-    partition
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Point-in-time per-shard stats, merged into every [`StatsSnapshot`].
 fn shard_snapshots(shards: &[Shard]) -> Vec<ShardStatsSnapshot> {
     shards
         .iter()
-        .map(|s| {
-            let (hits, misses, evictions) = {
-                let partition = lock_partition(&s.compute);
-                (partition.hits(), partition.misses(), partition.evictions())
-            };
-            ShardStatsSnapshot {
-                shard: s.index as u64,
-                permits: s.gate.max as u64,
-                active_connections: *s.gate.lock() as u64,
-                connections_served: s.counters.connections_served.load(Ordering::Relaxed),
-                permit_steals: s.counters.permit_steals.load(Ordering::Relaxed),
-                busy_rejections: s.counters.busy_rejections.load(Ordering::Relaxed),
-                admit_requests: s.counters.admit_requests.load(Ordering::Relaxed),
-                batched_requests: s.counters.batched_requests.load(Ordering::Relaxed),
-                compute_hits: hits,
-                compute_misses: misses,
-                compute_evictions: evictions,
-                reactor_registered_fds: s.reactor.registered_fds.load(Ordering::Relaxed),
-                reactor_wakeups: s.reactor.wakeups.load(Ordering::Relaxed),
-                reactor_ready_events: s.reactor.ready_events.load(Ordering::Relaxed),
-                stages: s.stages.snapshot(),
-            }
+        .map(|s| ShardStatsSnapshot {
+            shard: s.index as u64,
+            connections_served: s.connections_served.load(Ordering::Relaxed),
+            reactor_registered_fds: s.reactor.registered_fds.load(Ordering::Relaxed),
+            reactor_wakeups: s.reactor.wakeups.load(Ordering::Relaxed),
+            reactor_ready_events: s.reactor.ready_events.load(Ordering::Relaxed),
+            stages: s.stages.snapshot(),
         })
         .collect()
 }
@@ -572,28 +520,6 @@ fn effective_shards(configured: usize) -> usize {
             .unwrap_or(1)
     } else {
         configured
-    }
-}
-
-/// `max_connections` split across `n` shards: every permit is owned by
-/// exactly one shard, remainders going to the lowest-indexed shards. A
-/// zero-permit shard is fine — its connections steal from siblings.
-fn split_permits(max_connections: usize, n: usize) -> Vec<usize> {
-    let base = max_connections / n;
-    let spare = max_connections % n;
-    (0..n).map(|i| base + usize::from(i < spare)).collect()
-}
-
-/// Per-partition capacity of the compute cache for a total template-cache
-/// bound of `total` over `n` shards: ceiling-divided so `n` partitions
-/// cover at least the whole bound, floored at one entry; `0` stays
-/// unbounded. The authoritative cache itself holds `total` entries.
-#[must_use]
-pub fn partition_cap(total: usize, n: usize) -> usize {
-    if total == 0 {
-        0
-    } else {
-        total.div_ceil(n).max(1)
     }
 }
 
@@ -928,6 +854,9 @@ pub(crate) struct Shared {
     pub(crate) state: Arc<Mutex<AdmissionState>>,
     pub(crate) shutdown: AtomicBool,
     pub(crate) counters: Arc<TransportCounters>,
+    /// The connection permits, one gate of `max_connections` for every
+    /// shard.
+    gate: Arc<Gate>,
     pub(crate) shards: Vec<Shard>,
     /// One reactor mailbox per shard, indexed like `shards`.
     pub(crate) reactors: Vec<ReactorShared>,
@@ -940,9 +869,6 @@ pub(crate) struct Shared {
     pub(crate) journal: Option<Journal>,
     pub(crate) sequencer: Option<WalSequencer>,
     pub(crate) stages: Arc<StageCounters>,
-    /// The priority policy shapes are sized and routed under (fixed for
-    /// the server's lifetime).
-    pub(crate) policy: PriorityPolicy,
     /// Round-robin cursor assigning home shards to connections.
     rr: AtomicU64,
 }
@@ -1020,8 +946,8 @@ impl ServerHandle {
         self.shared.stages.snapshot()
     }
 
-    /// A point-in-time copy of every shard's counters, permits, and
-    /// stage histograms — the same section `Stats` responses carry.
+    /// A point-in-time copy of every shard's counters and stage
+    /// histograms — the same section `Stats` responses carry.
     #[must_use]
     pub fn shard_stats(&self) -> Vec<ShardStatsSnapshot> {
         shard_snapshots(&self.shared.shards)
@@ -1069,12 +995,7 @@ impl ServerHandle {
         for reactor in &shared.reactors {
             reactor.wake();
         }
-        // One overall drain budget shared by all shard gates.
-        let deadline = Instant::now() + shared.limits.drain_deadline();
-        for shard in &shared.shards {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            shard.gate.wait_drained(remaining);
-        }
+        shared.gate.wait_drained(shared.limits.drain_deadline());
         // Reactor threads exit once their last connection closes; the
         // force flag covers a drain that timed out (the stragglers are
         // dropped unflushed).
@@ -1177,17 +1098,12 @@ pub fn serve(config: &ServerConfig) -> io::Result<ServerHandle> {
     let limits = config.limits.sanitized();
     let workers = config.workers.max(1);
     let shard_count = effective_shards(config.shards);
-    let cap = partition_cap(config.admission.template_cache_cap, shard_count);
-    let shards = split_permits(limits.max_connections, shard_count)
-        .into_iter()
-        .enumerate()
-        .map(|(index, permits)| Shard {
+    let shards = (0..shard_count)
+        .map(|index| Shard {
             index,
-            gate: Arc::new(Gate::new(permits)),
-            counters: ShardCounters::default(),
+            connections_served: AtomicU64::new(0),
             reactor: ReactorCounters::default(),
             stages: StageCounters::default(),
-            compute: Mutex::new(ComputePartition::with_capacity(cap)),
         })
         .collect();
     let reactors = (0..shard_count)
@@ -1197,6 +1113,7 @@ pub fn serve(config: &ServerConfig) -> io::Result<ServerHandle> {
         state: Arc::new(Mutex::new(initial_state)),
         shutdown: AtomicBool::new(false),
         counters: Arc::new(TransportCounters::default()),
+        gate: Arc::new(Gate::new(limits.max_connections)),
         shards,
         reactors,
         jobs: JobQueue::new(),
@@ -1207,7 +1124,6 @@ pub fn serve(config: &ServerConfig) -> io::Result<ServerHandle> {
         sequencer: journal.as_ref().map(|_| WalSequencer::new()),
         journal,
         stages: Arc::new(StageCounters::default()),
-        policy: config.admission.fedcons.policy,
         rr: AtomicU64::new(0),
     });
     let sequencer = match shared.journal {
@@ -1314,8 +1230,9 @@ pub(crate) fn lock(state: &Mutex<AdmissionState>) -> MutexGuard<'_, AdmissionSta
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// One acceptor: assigns each accepted socket a permit and hands it to
-/// that shard's reactor, or answers `Busy` when every shard is full.
+/// One acceptor: hands each accepted socket that gets a permit to its
+/// round-robin home shard's reactor, or answers `Busy` when
+/// `max_connections` connections are already live.
 fn acceptor_loop(shared: &Shared) {
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
@@ -1328,40 +1245,21 @@ fn acceptor_loop(shared: &Shared) {
         if shared.shutdown.load(Ordering::Acquire) {
             return; // wake-up connection; drop it unserved
         }
-        // Home shard round-robin; a full home steals a permit from the
-        // first sibling with one free. Only when every shard is full —
-        // i.e. max_connections is genuinely reached — does the client
-        // get Busy. Nothing ever queues behind a saturated shard.
-        let n = shared.shards.len();
-        let home = shared.next_home();
-        let mut acquired = None;
-        for offset in 0..n {
-            let idx = (home + offset) % n;
-            if let Some(permit) = shared.shards[idx].gate.try_acquire() {
-                if offset > 0 {
-                    // Counted on the lending shard: its permit served a
-                    // foreign connection.
-                    bump(&shared.shards[idx].counters.permit_steals);
-                }
-                acquired = Some((idx, permit));
-                break;
-            }
-        }
-        let Some((idx, permit)) = acquired else {
+        let Some(permit) = shared.gate.try_acquire() else {
             bump(&shared.counters.busy_rejections);
-            bump(&shared.shards[home].counters.busy_rejections);
             lock(&shared.state).count_transport(CounterKind::BusyRejection);
             reject_busy(&stream);
             continue;
         };
+        let home = shared.next_home();
         bump(&shared.counters.connections_served);
-        bump(&shared.shards[idx].counters.connections_served);
-        shared.reactors[idx].push_conn(stream, permit);
+        bump(&shared.shards[home].connections_served);
+        shared.reactors[home].push_conn(stream, permit);
     }
 }
 
-/// How long the acceptor spends delivering a `Busy` rejection (writing
-/// the response and draining what the client already sent).
+/// Bounds each half of a `Busy` rejection: the response write, and the
+/// whole drain of what the client sends.
 const BUSY_IO_TIMEOUT: Duration = Duration::from_millis(100);
 /// Most bytes drained from a rejected connection before giving up.
 const BUSY_DRAIN_CAP: usize = 64 * 1024;
@@ -1372,11 +1270,11 @@ const BUSY_RETRY_AFTER_MS: u64 = 100;
 /// closes it. The write FIN-then-drain dance keeps the rejection readable:
 /// closing with unread client bytes in the receive queue would send an
 /// RST, which can discard the `Busy` line from the client's buffer before
-/// it is read.
+/// it is read. The drain ends at one deadline however the client paces
+/// its bytes, so a trickling client cannot hold the acceptor.
 fn reject_busy(stream: &TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(BUSY_IO_TIMEOUT));
-    let _ = stream.set_read_timeout(Some(BUSY_IO_TIMEOUT));
     let mut writer = stream;
     let _ = write_message(
         &mut writer,
@@ -1385,10 +1283,15 @@ fn reject_busy(stream: &TcpStream) {
         },
     );
     let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + BUSY_IO_TIMEOUT;
     let mut reader = stream;
     let mut sink = [0u8; 1024];
     let mut drained = 0usize;
     while drained < BUSY_DRAIN_CAP {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
         match reader.read(&mut sink) {
             Ok(0) | Err(_) => break,
             Ok(n) => drained += n,
@@ -1424,176 +1327,6 @@ fn merged_snapshot(shared: &Shared) -> StatsSnapshot {
         };
     }
     snapshot
-}
-
-/// Most `Admit` requests decided under one ledger acquisition. Chosen so
-/// a deep pipeline still answers its first request promptly (the whole
-/// batch is decided before anything is written back).
-pub(crate) const ADMIT_BATCH_MAX: usize = 16;
-
-/// One parsed `Admit` awaiting its batch decision.
-pub(crate) struct AdmitItem {
-    pub(crate) task: DagTask,
-    pub(crate) trace_id: Option<u64>,
-    pub(crate) echo_timing: bool,
-    pub(crate) timer: StageTimer,
-}
-
-/// One decided `Admit`, ready to write back in arrival order.
-pub(crate) struct AnsweredAdmit {
-    pub(crate) response: Response,
-    pub(crate) timer: StageTimer,
-    pub(crate) trace_id: Option<u64>,
-}
-
-/// A decided `Admit` between the ledger phase and its WAL ack.
-struct PendingAdmit {
-    result: Result<Admitted, RejectReason>,
-    ack: Option<Arc<AckSlot>>,
-    cache_ns: u64,
-    trace_id: Option<u64>,
-    echo_timing: bool,
-    timer: StageTimer,
-}
-
-/// Resolves a task's `MINPROCS` sizing against its shape-routed compute
-/// partition, computing it off every lock on a partition miss (the
-/// fedsched-parallel workers fan out inside the sizing). Returns the
-/// seed for the ledger plus the partition-lookup nanoseconds (credited
-/// to the cache-lookup stage).
-fn resolve_compute(shared: &Shared, task: &DagTask) -> (Option<SeededSizing>, u64) {
-    // Shape-routed, *not* home-shard-routed: the same shape always lands
-    // in the same partition, whichever connection carries it.
-    let idx = (shape_hash(task, shared.policy) % shared.shards.len() as u64) as usize;
-    let partition = &shared.shards[idx].compute;
-    let lookup_start = monotonic_nanos();
-    let hit = lock_partition(partition).lookup(task, shared.policy);
-    let cache_ns = monotonic_nanos().saturating_sub(lookup_start);
-    if hit.is_some() {
-        return (hit, cache_ns);
-    }
-    // The stored probe is exactly what an inline compute would have
-    // added, so merging it on an authoritative miss keeps counters
-    // byte-identical at any shard count (MINPROCS is deterministic).
-    let mut probe = AnalysisProbe::default();
-    let sizing =
-        intrinsic_min_procs_probed(task, shared.policy, &mut probe).map(|r| CachedSizing {
-            processors: r.processors,
-            template: Arc::new(r.template),
-        });
-    let entry = SeededSizing { sizing, probe };
-    lock_partition(partition).insert(task, shared.policy, entry.clone());
-    (Some(entry), cache_ns)
-}
-
-/// Decides a batch of `Admit`s: sizings resolved off-lock first, then
-/// one state acquisition applies every decision to the ledger and
-/// sequences its records, then — with the lock released — each item
-/// waits for its WAL ack in order. Analysis and fsync therefore never
-/// execute under any admission lock, batched or not.
-pub(crate) fn dispatch_admit_batch(
-    items: Vec<AdmitItem>,
-    shared: &Shared,
-    shard: &Shard,
-) -> Vec<AnsweredAdmit> {
-    // Phase 1: compute (or fetch) every sizing off-lock.
-    let prepared: Vec<(AdmitItem, Option<SeededSizing>, u64)> = items
-        .into_iter()
-        .map(|item| {
-            let (seed, cache_ns) = resolve_compute(shared, &item.task);
-            (item, seed, cache_ns)
-        })
-        .collect();
-    // Phase 2: one ledger acquisition for the whole batch.
-    let mut pending = Vec::with_capacity(prepared.len());
-    let mut guard = lock(&shared.state);
-    let sink_enabled = guard.sink.is_enabled();
-    for (item, seed, cache_ns) in prepared {
-        let AdmitItem {
-            task,
-            trace_id,
-            echo_timing,
-            timer,
-        } = item;
-        let journaled = shared.sequencer.is_some().then(|| task.clone());
-        let misses_before = guard.cache.misses();
-        let hits_before = guard.cache.hits();
-        let result = guard.admit_seeded(task, trace_id, seed);
-        let ack = journaled.map(|task| {
-            let records = admit_records(&guard, &task, &result, misses_before, hits_before);
-            shared
-                .sequencer
-                .as_ref()
-                .expect("journaled implies a sequencer")
-                .enqueue(shard.index, records)
-        });
-        emit_request_spans(&mut guard, trace_id, &timer);
-        pending.push(PendingAdmit {
-            result,
-            ack,
-            cache_ns,
-            trace_id,
-            echo_timing,
-            timer,
-        });
-    }
-    drop(guard);
-    // Phase 3: wait for the WAL acks in order and shape the responses.
-    let mut answered = Vec::with_capacity(pending.len());
-    let mut wal_spans = Vec::new();
-    for item in pending {
-        let mut timer = item.timer;
-        let (wal_ns, wal_err) = match item.ack {
-            Some(ack) => {
-                let wal_start = monotonic_nanos();
-                let result = ack.wait();
-                let wal_end = monotonic_nanos();
-                if sink_enabled {
-                    wal_spans.push((item.trace_id, wal_start, wal_end));
-                }
-                (wal_end.saturating_sub(wal_start), result.err())
-            }
-            None => (0, None),
-        };
-        timer.stamp_dispatch(item.cache_ns, wal_ns);
-        let response = match wal_err {
-            Some(e) => journal_error(&e),
-            None => {
-                let timing = item.echo_timing.then(|| request_timing(&timer));
-                match item.result {
-                    Ok(admitted) => Response::Admitted {
-                        token: admitted.token,
-                        placement: admitted.placement,
-                        cache_hit: admitted.cache_hit,
-                        trace_id: item.trace_id,
-                        timing,
-                    },
-                    Err(reason) => Response::Rejected {
-                        reason: reason.to_string(),
-                        trace_id: item.trace_id,
-                        timing,
-                    },
-                }
-            }
-        };
-        answered.push(AnsweredAdmit {
-            response,
-            timer,
-            trace_id: item.trace_id,
-        });
-    }
-    if !wal_spans.is_empty() {
-        let mut guard = lock(&shared.state);
-        for (trace, start_nanos, end_nanos) in wal_spans {
-            guard.sink.record(TelemetryEvent::Span {
-                trace_id: trace.map(TraceId),
-                phase: SpanPhase::WalAppend,
-                start_nanos,
-                end_nanos,
-            });
-        }
-    }
-    answered
 }
 
 /// The response for a decision whose journal append failed. The decision
@@ -1688,10 +1421,37 @@ fn emit_request_spans(guard: &mut AdmissionState, trace_id: Option<u64>, timer: 
     }
 }
 
-/// Maps one non-`Admit` request to its response against the shared
-/// state, crediting the dispatch interval to the cache-lookup / analysis /
-/// WAL-append stages of `timer` on the way out. `Admit`s are decided in
-/// batches by [`dispatch_admit_batch`].
+/// Waits for a decision's WAL acknowledgement (none without
+/// durability), recording the wait as a `WalAppend` span when
+/// `record_span` is set. Returns the nanoseconds waited and the append's
+/// result.
+fn await_ack(
+    shared: &Shared,
+    ack: Option<Arc<AckSlot>>,
+    trace_id: Option<u64>,
+    record_span: bool,
+) -> (u64, io::Result<()>) {
+    let Some(ack) = ack else {
+        return (0, Ok(()));
+    };
+    let wal_start = monotonic_nanos();
+    let appended = ack.wait();
+    let wal_end = monotonic_nanos();
+    if record_span {
+        lock(&shared.state).sink.record(TelemetryEvent::Span {
+            trace_id: trace_id.map(TraceId),
+            phase: SpanPhase::WalAppend,
+            start_nanos: wal_start,
+            end_nanos: wal_end,
+        });
+    }
+    (wal_end.saturating_sub(wal_start), appended)
+}
+
+/// Maps one request to its response against the shared state, crediting
+/// the dispatch interval to the cache-lookup / analysis / WAL-append
+/// stages of `timer` on the way out. Analysis runs under the state lock;
+/// the WAL append and fsync never do.
 pub(crate) fn dispatch(
     request: Request,
     shared: &Shared,
@@ -1700,7 +1460,56 @@ pub(crate) fn dispatch(
 ) -> Response {
     let state = &shared.state;
     match request {
-        Request::Admit { .. } => unreachable!("the request loop batches every Admit"),
+        Request::Admit {
+            task,
+            trace_id,
+            echo_timing,
+        } => {
+            let mut guard = lock(state);
+            let journaled = shared.sequencer.is_some().then(|| task.clone());
+            let misses_before = guard.cache.misses();
+            let hits_before = guard.cache.hits();
+            let sizing_before = guard.probe.sizing_nanos;
+            let result = guard.admit_traced(task, trace_id);
+            // A hit's sizing interval was the cache probe; a miss's ran
+            // MINPROCS and stays in the analysis stage.
+            let cache_ns = if guard.cache.hits() > hits_before {
+                guard.probe.sizing_nanos.saturating_sub(sizing_before)
+            } else {
+                0
+            };
+            let ack = journaled.map(|task| {
+                let records = admit_records(&guard, &task, &result, misses_before, hits_before);
+                shared
+                    .sequencer
+                    .as_ref()
+                    .expect("journaled implies a sequencer")
+                    .enqueue(shard.index, records)
+            });
+            emit_request_spans(&mut guard, trace_id, timer);
+            let sink_enabled = guard.sink.is_enabled();
+            drop(guard);
+            let (wal_ns, appended) = await_ack(shared, ack, trace_id, sink_enabled);
+            timer.stamp_dispatch(cache_ns, wal_ns);
+            if let Err(e) = appended {
+                return journal_error(&e);
+            }
+            let timing = echo_timing.then(|| request_timing(timer));
+            match result {
+                Ok(admitted) => Response::Admitted {
+                    token: admitted.token,
+                    placement: admitted.placement,
+                    cache_hit: admitted.cache_hit,
+                    trace_id,
+                    timing,
+                },
+                Err(reason) => Response::Rejected {
+                    reason: reason.to_string(),
+                    trace_id,
+                    timing,
+                },
+            }
+        }
         Request::Remove { token } => {
             let mut guard = lock(state);
             let anomalies_before = guard.stats.remove_anomalies;
@@ -1711,17 +1520,11 @@ pub(crate) fn dispatch(
                         sequencer.enqueue(shard.index, vec![record])
                     });
                     drop(guard);
-                    let mut wal_ns = 0u64;
-                    if let Some(ack) = ack {
-                        let wal_start = monotonic_nanos();
-                        let appended = ack.wait();
-                        wal_ns = monotonic_nanos().saturating_sub(wal_start);
-                        if let Err(e) = appended {
-                            timer.stamp_dispatch(0, wal_ns);
-                            return journal_error(&e);
-                        }
-                    }
+                    let (wal_ns, appended) = await_ack(shared, ack, None, false);
                     timer.stamp_dispatch(0, wal_ns);
+                    if let Err(e) = appended {
+                        return journal_error(&e);
+                    }
                     Response::Removed {
                         token: removed.token,
                         migrated: removed.migrated,
@@ -1850,25 +1653,62 @@ mod tests {
     }
 
     #[test]
-    fn permits_split_across_shards_without_loss() {
-        assert_eq!(split_permits(8, 3), vec![3, 3, 2]);
-        assert_eq!(split_permits(1, 4), vec![1, 0, 0, 0]);
-        assert_eq!(split_permits(4, 1), vec![4]);
-        for (max, n) in [(1, 1), (7, 3), (256, 5), (3, 8)] {
-            assert_eq!(
-                split_permits(max, n).iter().sum::<usize>(),
-                max,
-                "every permit must be owned by exactly one shard"
+    fn only_a_template_cache_hit_credits_the_cache_lookup_stage() {
+        use fedsched_dag::graph::DagBuilder;
+        use fedsched_dag::task::DagTask;
+        use fedsched_dag::time::Duration as Ticks;
+
+        let handle = serve(&ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            shards: 1,
+            admission: AdmissionConfig::new(8),
+            limits: ConnectionLimits::default(),
+            durability: None,
+            handoff_from: None,
+        })
+        .expect("bind loopback");
+        let shared = &handle.shared;
+        let cache_lookup_nanos = |task: DagTask| -> u64 {
+            let mut timer = StageTimer::start();
+            let request = Request::Admit {
+                task,
+                trace_id: None,
+                echo_timing: false,
+            };
+            let response = dispatch(request, shared, &shared.shards[0], &mut timer);
+            assert!(
+                matches!(response, Response::Admitted { .. }),
+                "{response:?}"
             );
-        }
+            timer.nanos(RequestStage::CacheLookup)
+        };
+        // Six unit jobs due in 2: high density, μ* = 3.
+        let wide = |period: u64| {
+            let mut b = DagBuilder::new();
+            b.add_vertices([1; 6].map(Ticks::new));
+            DagTask::new(b.build().unwrap(), Ticks::new(2), Ticks::new(period)).unwrap()
+        };
+        let light = DagTask::sequential(Ticks::new(1), Ticks::new(4), Ticks::new(8)).unwrap();
+        assert_eq!(
+            cache_lookup_nanos(light),
+            0,
+            "a low-density admit touches no cache"
+        );
+        assert_eq!(
+            cache_lookup_nanos(wide(10)),
+            0,
+            "a miss runs MINPROCS, which is analysis"
+        );
+        assert!(
+            cache_lookup_nanos(wide(11)) > 0,
+            "a hit's sizing interval is the cache probe"
+        );
+        handle.shutdown();
     }
 
     #[test]
-    fn partition_caps_cover_the_total_bound() {
-        assert_eq!(partition_cap(0, 4), 0, "unbounded stays unbounded");
-        assert_eq!(partition_cap(10, 4), 3, "ceiling division");
-        assert_eq!(partition_cap(2, 8), 1, "floored at one entry");
-        assert_eq!(partition_cap(64, 1), 64);
+    fn auto_shard_count_resolves_to_at_least_one() {
         assert!(effective_shards(0) >= 1, "auto resolves to at least one");
         assert_eq!(effective_shards(3), 3);
     }

@@ -396,25 +396,6 @@ impl AdmissionState {
         task: DagTask,
         trace_id: Option<u64>,
     ) -> Result<Admitted, RejectReason> {
-        self.admit_seeded(task, trace_id, None)
-    }
-
-    /// [`Self::admit_traced`] with an optional sizing precomputed outside
-    /// this state's lock (by a shard's compute-cache partition). The seed
-    /// is consumed only when the authoritative cache misses — so the
-    /// decision, counters, and cache contents are byte-identical to an
-    /// unseeded admission (`MINPROCS` is deterministic), with the
-    /// expensive compute moved off the lock.
-    ///
-    /// # Errors
-    ///
-    /// The [`RejectReason`]; the state is unchanged on rejection.
-    pub fn admit_seeded(
-        &mut self,
-        task: DagTask,
-        trace_id: Option<u64>,
-        seed: Option<crate::cache::SeededSizing>,
-    ) -> Result<Admitted, RejectReason> {
         let trace = trace_id.map(TraceId);
         let start = Instant::now();
         let span = self.sink.start_span();
@@ -424,7 +405,7 @@ impl AdmissionState {
         // for the event stream.
         let pruned_before = self.probe.ls_runs_pruned;
         let dispatched_before = self.probe.par_tasks_dispatched;
-        let result = self.admit_seeded_inner(task, trace, seed);
+        let result = self.admit_inner(task, trace);
         match &result {
             Ok(_) if high => self.stats.admitted_high += 1,
             Ok(_) => self.stats.admitted_low += 1,
@@ -466,20 +447,11 @@ impl AdmissionState {
         task: DagTask,
         trace: Option<TraceId>,
     ) -> Result<Admitted, RejectReason> {
-        self.admit_seeded_inner(task, trace, None)
-    }
-
-    pub(crate) fn admit_seeded_inner(
-        &mut self,
-        task: DagTask,
-        trace: Option<TraceId>,
-        seed: Option<crate::cache::SeededSizing>,
-    ) -> Result<Admitted, RejectReason> {
         // Route by the task-layer classification (the same one FEDCONS
         // uses) instead of re-deriving density thresholds here.
         match task.classify() {
             TaskClass::ArbitraryDeadline => Err(RejectReason::ArbitraryDeadline),
-            TaskClass::HighDensity => self.admit_high(task, trace, seed),
+            TaskClass::HighDensity => self.admit_high(task, trace),
             TaskClass::LowDensity => self.admit_low(task, trace),
         }
     }
@@ -489,13 +461,12 @@ impl AdmissionState {
         &mut self,
         task: DagTask,
         trace: Option<TraceId>,
-        seed: Option<crate::cache::SeededSizing>,
     ) -> Result<Admitted, RejectReason> {
         let phase = Instant::now();
         let span = self.sink.start_span();
         let (sizing, cache_hit) =
             self.cache
-                .sizing_seeded(&task, self.config.fedcons.policy, &mut self.probe, seed);
+                .sizing_probed(&task, self.config.fedcons.policy, &mut self.probe);
         // A cache hit means the interval was pure lookup; a miss means it
         // ran the MINPROCS sizing — report the phase that actually happened.
         self.sink.end_span(

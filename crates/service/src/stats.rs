@@ -377,45 +377,21 @@ impl StageStats {
     }
 }
 
-/// Counters of one admission-plane shard, merged into [`StatsSnapshot`]
-/// when the server runs sharded (`serve --shards N`).
+/// Counters of one connection-plane shard, merged into [`StatsSnapshot`]
+/// (`serve --shards N`).
 ///
-/// A shard owns a slice of the connection permits and a partition of the
-/// compute-side template cache; the authoritative ledger state (admissions,
-/// cache identity, WAL) stays global, so shard counters describe *where
-/// work ran*, never *what was decided*. Snapshots from servers predating
-/// the sharded plane deserialize with an empty shard list.
+/// A shard owns one epoll reactor and the connections homed on it; the
+/// connection permits, the template cache, the ledger and the WAL stay
+/// global, so shard counters describe *where work ran*, never *what was
+/// decided*. Snapshots from servers predating the sharded plane
+/// deserialize with an empty shard list, and keys a shard entry no longer
+/// carries are ignored on decode.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardStatsSnapshot {
     /// The shard's index, `0..shards`.
     pub shard: u64,
-    /// Connection permits this shard owns (its slice of
-    /// `max_connections`).
-    pub permits: u64,
-    /// Permits currently held by live connections homed here.
-    pub active_connections: u64,
-    /// Connections accepted onto this shard since start (steals into this
-    /// shard included).
+    /// Connections homed on this shard since start.
     pub connections_served: u64,
-    /// Connections whose round-robin home shard was full and that borrowed
-    /// a permit from this shard instead.
-    pub permit_steals: u64,
-    /// Connections whose home was this shard and that were turned away
-    /// with `Busy` because every shard was full.
-    pub busy_rejections: u64,
-    /// Admission requests served by this shard since start.
-    pub admit_requests: u64,
-    /// Admission requests that committed as part of a pipelined batch of
-    /// more than one request (single-request commits are not counted).
-    pub batched_requests: u64,
-    /// Hits in this shard's compute-cache partition.
-    pub compute_hits: u64,
-    /// Misses in this shard's compute-cache partition (each one runs a
-    /// MINPROCS analysis outside the admission lock).
-    pub compute_misses: u64,
-    /// Entries evicted from this shard's compute-cache partition by the
-    /// capacity bound.
-    pub compute_evictions: u64,
     /// Sockets currently registered with this shard's epoll reactor.
     /// Defaults for snapshots predating the reactor.
     #[serde(default)]
@@ -772,69 +748,22 @@ type ShardFamily = (&'static str, &'static str, fn(&ShardStatsSnapshot) -> u64);
 /// Renders the per-shard counter families, one `shard`-labeled sample per
 /// shard in each.
 fn render_shards(shards: &[ShardStatsSnapshot], out: &mut fedsched_telemetry::PromText) {
-    let gauges: [ShardFamily; 3] = [
-        (
-            "fedsched_shard_permits",
-            "Connection permits owned by the shard",
-            |s| s.permits,
-        ),
-        (
-            "fedsched_shard_active_connections",
-            "Permits currently held by live connections on the shard",
-            |s| s.active_connections,
-        ),
-        (
-            "fedsched_reactor_registered_fds",
-            "Sockets currently registered with the shard's epoll reactor",
-            |s| s.reactor_registered_fds,
-        ),
-    ];
+    let gauges: [ShardFamily; 1] = [(
+        "fedsched_reactor_registered_fds",
+        "Sockets currently registered with the shard's epoll reactor",
+        |s| s.reactor_registered_fds,
+    )];
     for (name, help, value) in gauges {
         out.header(name, help, "gauge");
         for shard in shards {
             out.sample(name, &[("shard", &shard.shard.to_string())], value(shard));
         }
     }
-    let counters: [ShardFamily; 10] = [
+    let counters: [ShardFamily; 3] = [
         (
             "fedsched_shard_connections_served_total",
-            "Connections accepted onto the shard since start",
+            "Connections homed on the shard since start",
             |s| s.connections_served,
-        ),
-        (
-            "fedsched_shard_permit_steals_total",
-            "Connections that borrowed this shard's permit after their home shard filled",
-            |s| s.permit_steals,
-        ),
-        (
-            "fedsched_shard_busy_rejections_total",
-            "Connections homed on the shard turned away Busy with every shard full",
-            |s| s.busy_rejections,
-        ),
-        (
-            "fedsched_shard_admit_requests_total",
-            "Admission requests served by the shard",
-            |s| s.admit_requests,
-        ),
-        (
-            "fedsched_shard_batched_requests_total",
-            "Admission requests committed as part of a multi-request pipeline batch",
-            |s| s.batched_requests,
-        ),
-        (
-            "fedsched_shard_compute_cache_hits_total",
-            "Hits in the shard's compute-cache partition",
-            |s| s.compute_hits,
-        ),
-        (
-            "fedsched_shard_compute_cache_misses_total",
-            "Misses in the shard's compute-cache partition (cold MINPROCS analyses)",
-            |s| s.compute_misses,
-        ),
-        (
-            "fedsched_shard_compute_cache_evictions_total",
-            "Entries evicted from the shard's compute-cache partition",
-            |s| s.compute_evictions,
         ),
         (
             "fedsched_reactor_wakeups_total",
@@ -1019,16 +948,7 @@ mod tests {
         for shard in 0..2u64 {
             let mut s = ShardStatsSnapshot {
                 shard,
-                permits: 4,
-                active_connections: shard,
                 connections_served: 10 + shard,
-                permit_steals: shard,
-                busy_rejections: 0,
-                admit_requests: 5,
-                batched_requests: 2,
-                compute_hits: 3,
-                compute_misses: 2,
-                compute_evictions: 1,
                 reactor_registered_fds: 6 + shard,
                 reactor_wakeups: 100 + shard,
                 reactor_ready_events: 250 + shard,
@@ -1041,16 +961,7 @@ mod tests {
         let text = render_prometheus(&snapshot);
         fedsched_telemetry::validate_exposition(&text).expect("exposition parses");
         for line in [
-            "fedsched_shard_permits{shard=\"0\"} 4",
-            "fedsched_shard_active_connections{shard=\"1\"} 1",
             "fedsched_shard_connections_served_total{shard=\"1\"} 11",
-            "fedsched_shard_permit_steals_total{shard=\"1\"} 1",
-            "fedsched_shard_busy_rejections_total{shard=\"0\"} 0",
-            "fedsched_shard_admit_requests_total{shard=\"0\"} 5",
-            "fedsched_shard_batched_requests_total{shard=\"0\"} 2",
-            "fedsched_shard_compute_cache_hits_total{shard=\"0\"} 3",
-            "fedsched_shard_compute_cache_misses_total{shard=\"1\"} 2",
-            "fedsched_shard_compute_cache_evictions_total{shard=\"1\"} 1",
             "fedsched_reactor_registered_fds{shard=\"0\"} 6",
             "fedsched_reactor_wakeups_total{shard=\"1\"} 101",
             "fedsched_reactor_ready_events_total{shard=\"0\"} 250",
@@ -1241,16 +1152,7 @@ mod tests {
             },
             shards: vec![ShardStatsSnapshot {
                 shard: 1,
-                permits: 8,
-                active_connections: 2,
                 connections_served: 40,
-                permit_steals: 3,
-                busy_rejections: 1,
-                admit_requests: 30,
-                batched_requests: 12,
-                compute_hits: 20,
-                compute_misses: 10,
-                compute_evictions: 4,
                 reactor_registered_fds: 2,
                 reactor_wakeups: 9,
                 reactor_ready_events: 15,
@@ -1277,6 +1179,17 @@ mod tests {
         assert_eq!(old.stages, StageStats::default());
         assert!(old.shards.is_empty());
         assert_eq!(old.cache_evictions, 0);
+        // A shard entry from a server that still reported per-shard
+        // permits, steals, batching and compute-cache traffic decodes,
+        // its retired keys ignored.
+        let legacy = json.replacen(
+            "\"connections_served\":40",
+            "\"permits\":8,\"batched_requests\":3,\"connections_served\":40,\"compute_hits\":20",
+            1,
+        );
+        assert_ne!(legacy, json);
+        let back: StatsSnapshot = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(back.shards, snapshot.shards);
     }
 
     #[test]

@@ -272,13 +272,18 @@ fn over_capacity_connections_get_a_fast_busy_and_clients_retry_through() {
     handle.shutdown();
 }
 
+/// Whether `line` is a framed `Busy` response.
+fn is_busy(line: &str) -> bool {
+    line.starts_with("{\"Busy\"")
+}
+
 #[test]
-fn a_saturated_shard_lends_its_sibling_a_permit_before_anyone_hears_busy() {
-    // Two shards, one permit each. Round-robin homing sends consecutive
-    // connections to alternating home shards; when a connection's home
-    // is saturated it must be served on a *stolen* sibling permit, and
-    // only a genuinely full server — every shard saturated — answers
-    // Busy. Nothing ever queues behind the saturated shard.
+fn busy_only_when_max_conns_connections_are_live_whichever_shard_each_landed_on() {
+    // Two shards share one gate of two permits. Round-robin homing puts
+    // the two hogs on different shards; the gate counts them together,
+    // so a third connection hears Busy. Once a hog leaves, a new client
+    // is served whichever shard it lands on, and the next one hears Busy
+    // again.
     let handle = start_sharded_server(
         ConnectionLimits {
             io_timeout: Some(Duration::from_secs(2)),
@@ -290,7 +295,6 @@ fn a_saturated_shard_lends_its_sibling_a_permit_before_anyone_hears_busy() {
     let addr = handle.local_addr();
     let counters = handle.transport();
 
-    // Connections 0 and 1 home to shards 0 and 1 and occupy both permits.
     let mut hogs = Vec::new();
     for i in 0..2 {
         let mut hog = ChaosClient::connect(addr).expect("hog connect");
@@ -305,76 +309,115 @@ fn a_saturated_shard_lends_its_sibling_a_permit_before_anyone_hears_busy() {
     }
     let shards = handle.shard_stats();
     assert_eq!(shards.len(), 2);
-    assert_eq!(
-        shards.iter().map(|s| s.permits).sum::<u64>(),
-        2,
-        "every permit is owned by exactly one shard"
-    );
     assert!(
-        shards.iter().all(|s| s.active_connections == 1),
-        "round-robin homing fills both shards, got {shards:?}"
+        shards.iter().all(|s| s.connections_served == 1),
+        "round-robin homing puts one hog on each shard, got {shards:?}"
     );
 
-    // Drop the shard-1 hog and wait for its permit to come home.
-    drop(hogs.pop());
-    let drained = {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let active: u64 = handle
-                .shard_stats()
-                .iter()
-                .map(|s| s.active_connections)
-                .sum();
-            if active == 1 {
-                break true;
-            }
-            if Instant::now() >= deadline {
-                break false;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-    };
-    assert!(drained, "the dropped hog must release its permit");
-
-    // Connection 2 homes to shard 0 — still saturated — and must be
-    // served immediately on shard 1's free permit: a steal, not a Busy,
-    // and certainly not a queue.
-    let mut stealer = ChaosClient::connect(addr).expect("stealer connect");
-    stealer.send(b"\"Stats\"\n").expect("stealer request");
-    assert!(
-        stealer
-            .read_line_within(Duration::from_secs(2))
-            .expect("stealer read")
-            .is_some(),
-        "a full home shard must borrow from its sibling, not refuse"
-    );
-    let shards = handle.shard_stats();
-    assert!(
-        shards.iter().map(|s| s.permit_steals).sum::<u64>() >= 1,
-        "the borrowed permit must be counted as a steal, got {shards:?}"
-    );
-
-    // Connection 3: every shard saturated again — a fast framed Busy.
+    // Both permits are held: a fast framed Busy.
     let mut probe = ChaosClient::connect(addr).expect("probe connect");
     let line = probe
         .read_line_within(Duration::from_secs(2))
         .expect("probe read")
         .expect("a full server must answer, not hang");
-    assert!(line.contains("Busy"), "expected Busy, got {line:?}");
-    let shards = handle.shard_stats();
-    assert_eq!(
-        shards.iter().map(|s| s.busy_rejections).sum::<u64>(),
-        counters.snapshot().busy_rejections,
-        "shard busy tallies must sum to the transport counter"
-    );
+    assert!(is_busy(&line), "expected Busy, got {line:?}");
+
+    // One hog leaves; its permit returns to the one gate and serves a
+    // new client within 5 s.
+    drop(hogs.pop());
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let newcomer = loop {
+        let mut client = ChaosClient::connect(addr).expect("newcomer connect");
+        client.send(b"\"Stats\"\n").expect("newcomer request");
+        let line = client
+            .read_line_within(Duration::from_secs(2))
+            .expect("newcomer read")
+            .expect("the newcomer must get an answer, not silence");
+        if !is_busy(&line) {
+            break client;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the freed permit must serve a new client within 5 s"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    };
+
+    // Two connections are live again: the next client hears Busy.
+    let mut next = ChaosClient::connect(addr).expect("next connect");
+    let line = next
+        .read_line_within(Duration::from_secs(2))
+        .expect("next read")
+        .expect("a full server must answer, not hang");
+    assert!(is_busy(&line), "expected Busy, got {line:?}");
+    let transport = counters.snapshot();
     assert!(
-        counters.snapshot().busy_rejections >= 1,
-        "the full-capacity rejection must be counted"
+        transport.busy_rejections >= 2,
+        "both full-capacity rejections must be counted, got {transport:?}"
+    );
+    assert_eq!(
+        handle
+            .shard_stats()
+            .iter()
+            .map(|s| s.connections_served)
+            .sum::<u64>(),
+        transport.connections_served,
+        "every served connection is homed on exactly one shard"
     );
 
-    drop(stealer);
+    drop(newcomer);
     drop(hogs);
     drop(probe);
+    drop(next);
+    handle.shutdown();
+}
+
+#[test]
+fn a_trickling_busy_client_cannot_hold_the_acceptor_past_one_deadline() {
+    // One acceptor, one permit, one hog. A rejected client that writes a
+    // byte every 50 ms keeps each drain read under its timeout; the drain
+    // still ends at one deadline, so the acceptor moves on and the next
+    // client hears Busy at once.
+    let handle = serve(&ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        shards: 1,
+        admission: AdmissionConfig::new(16),
+        limits: ConnectionLimits {
+            max_connections: 1,
+            ..ConnectionLimits::default()
+        },
+        durability: None,
+        handoff_from: None,
+    })
+    .expect("bind loopback");
+    let addr = handle.local_addr();
+
+    let mut hog = ChaosClient::connect(addr).expect("hog connect");
+    hog.send(b"\"Stats\"\n").expect("hog request");
+    assert!(
+        hog.read_line_within(Duration::from_secs(2))
+            .expect("hog read")
+            .is_some(),
+        "the hog's connection must be serving"
+    );
+
+    let mut trickler = ChaosClient::connect(addr).expect("trickler connect");
+    let trickle =
+        std::thread::spawn(move || trickler.trickle(&[b' '; 60], Duration::from_millis(50)));
+    // Let the acceptor reach the trickler's drain.
+    std::thread::sleep(Duration::from_millis(200));
+
+    let mut third = ChaosClient::connect(addr).expect("third connect");
+    let line = third
+        .read_line_within(Duration::from_secs(1))
+        .expect("the third client must hear Busy within 1 s")
+        .expect("the third client must get an answer, not a close");
+    assert!(is_busy(&line), "expected Busy, got {line:?}");
+
+    let _ = trickle.join();
+    drop(hog);
+    drop(third);
     handle.shutdown();
 }
 

@@ -282,7 +282,7 @@ fn every_exported_metric_family_is_documented_and_vice_versa() {
         .map(str::to_owned)
         .collect();
     let documented = documented_families();
-    assert!(exported.len() > 60, "scrape exported {exported:?}");
+    assert!(exported.len() > 50, "scrape exported {exported:?}");
     let undocumented: Vec<_> = exported.difference(&documented).collect();
     let unexported: Vec<_> = documented.difference(&exported).collect();
     assert!(

@@ -1,6 +1,6 @@
 //! The request pipeline driven through in-process sessions: the frame
-//! cap's exact boundary, pipelined admission — how consecutive `Admit`s
-//! batch, how a batch meets the request budget, and that batching never
+//! cap's exact boundary, pipelined admission — how a run of `Admit`s
+//! sent in one burst meets the request budget, and that pipelining never
 //! changes a single response byte — and hostile lines (nesting bombs,
 //! tasks whose fields lie) that must get a framed error while the server
 //! keeps serving.
@@ -248,9 +248,8 @@ enum Carrier {
 }
 
 /// Runs the stream on a fresh server with request budget `budget`.
-/// Returns the response bytes, the deterministic view, and the
-/// batched-request count.
-fn run(budget: u64, carrier: Carrier) -> (Vec<u8>, String, u64) {
+/// Returns the response bytes and the deterministic view.
+fn run(budget: u64, carrier: Carrier) -> (Vec<u8>, String) {
     let handle = start(ConnectionLimits {
         max_requests_per_connection: budget,
         ..ConnectionLimits::default()
@@ -282,39 +281,30 @@ fn run(budget: u64, carrier: Carrier) -> (Vec<u8>, String, u64) {
     let [Response::Stats { snapshot }] = stats.as_slice() else {
         panic!("stats request failed");
     };
-    let batched = snapshot.shards.iter().map(|s| s.batched_requests).sum();
     let view = deterministic_view(snapshot);
     handle.shutdown();
-    (bytes, view, batched)
+    (bytes, view)
 }
 
 #[test]
-fn pipelined_admission_batches_without_changing_a_byte() {
+fn a_pipelined_stream_is_answered_as_line_by_line_at_every_budget() {
     // Budget 100 outlasts the stream; 7 runs out right after the query
-    // (a non-Admit); 12 runs out inside the second admit batch.
+    // (a non-Admit); 12 runs out inside the second run of admits.
     for (budget, answered, last) in [
         (100u64, 14usize, "malformed"),
         (7, 7, "budget"),
         (12, 12, "budget"),
     ] {
-        let (piped, piped_view, piped_batched) = run(budget, Carrier::Pipelined);
-        let (single, single_view, single_batched) = run(budget, Carrier::LineByLine);
+        let (piped, piped_view) = run(budget, Carrier::Pipelined);
+        let (single, single_view) = run(budget, Carrier::LineByLine);
         assert_eq!(
             String::from_utf8_lossy(&piped),
             String::from_utf8_lossy(&single),
-            "budget {budget}: batching changed the response bytes"
+            "budget {budget}: pipelining changed the response bytes"
         );
         assert_eq!(
             piped_view, single_view,
-            "budget {budget}: batching changed the decisions"
-        );
-        assert!(
-            piped_batched > 0,
-            "budget {budget}: one send must batch admits"
-        );
-        assert_eq!(
-            single_batched, 0,
-            "budget {budget}: one line per send never batches"
+            "budget {budget}: pipelining changed the decisions"
         );
 
         let answers = responses(&piped);
@@ -345,12 +335,12 @@ fn pipelined_admission_batches_without_changing_a_byte() {
 
 #[test]
 fn a_pipelined_stream_over_tcp_is_answered_as_through_a_session() {
-    // The reactor cuts frames wherever its reads end, so its batches may
-    // differ from a session's; the bytes and decisions may not. The
-    // stream ends with a malformed line, so the server reads all of it
-    // and closes cleanly.
-    let (session, session_view, _) = run(100, Carrier::Pipelined);
-    let (tcp, tcp_view, _) = run(100, Carrier::Tcp);
+    // The reactor cuts frames wherever its reads end, so its runs of
+    // frames may differ from a session's; the bytes and decisions may
+    // not. The stream ends with a malformed line, so the server reads all
+    // of it and closes cleanly.
+    let (session, session_view) = run(100, Carrier::Pipelined);
+    let (tcp, tcp_view) = run(100, Carrier::Tcp);
     assert_eq!(
         String::from_utf8_lossy(&session),
         String::from_utf8_lossy(&tcp)

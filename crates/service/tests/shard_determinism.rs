@@ -12,14 +12,17 @@
 //!   cache traffic, the analysis probe's deterministic view);
 //! * the write-ahead-log bytes on disk after shutdown.
 //!
-//! Sequential driving matters: pipelined batches are committed
-//! atomically per batch, so concurrent clients could interleave
-//! differently per run — but then the *inputs* differ, which is outside
-//! this suite's claim. Same input order in, same bytes out.
+//! Sequential driving matters: concurrent clients' requests could reach
+//! the ledger in a different order per run — but then the *inputs*
+//! differ, which is outside this suite's claim. Same input order in,
+//! same bytes out.
 //!
 //! The same three layers are diffed between the epoll reactor over TCP
 //! and an in-process [`Session`](fedsched_service::Session) on a server
 //! of the same shape: one request pipeline, whatever carries the bytes.
+//! One seed's three layers are also compared with a transcript pinned
+//! in `tests/data/`, so a change to the plane is judged against the build
+//! before it, not only against itself.
 //!
 //! A churn soak rides along for the bounded template cache: admissions
 //! over more distinct shapes than the cap must pin `cache_entries` to
@@ -289,6 +292,53 @@ fn decisions_and_wal_bytes_are_identical_across_shard_counts() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// The pinned transcript: seed `0x0D5E_ED01` driven over TCP against a
+/// durable two-shard server with a cache cap of 8. It was recorded from
+/// an earlier build of the plane (one with a second cache tier), so it
+/// pins this build against that one, not only shard counts of one build
+/// against each other.
+const PINNED_TRANSCRIPT: &str = include_str!("data/shard_transcript_0d5eed01.txt");
+
+/// One durable TCP run of `seed` at `shards`, flattened to the pinned
+/// transcript's layout: `view <deterministic view>`, `wal <length>
+/// <crc32>`, then the response lines in request order.
+fn transcript(seed: u64, shards: usize) -> String {
+    let dir = scratch_dir(&format!("pinned-{seed:x}-{shards}"));
+    let handle = start(shards, 8, Some(&dir));
+    let addr = handle.local_addr();
+    let (responses, snapshot) = drive_tcp(addr, seed, 120);
+    shutdown(addr, handle);
+    let wal = std::fs::read(dir.join("wal.log")).expect("read wal");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut out = format!(
+        "view {:?}\nwal {} {:#010x}\n",
+        deterministic_view(&snapshot),
+        wal.len(),
+        fedsched_durable::crc32(&wal)
+    );
+    out.extend(responses);
+    out
+}
+
+#[test]
+fn decisions_stats_and_wal_match_the_pinned_transcript_at_every_shard_count() {
+    let pinned: Vec<&str> = PINNED_TRANSCRIPT.lines().collect();
+    assert_eq!(pinned.len(), 2 + 120, "pinned transcript is truncated");
+    for shards in [1usize, 2, 8] {
+        let run = transcript(0x0D5E_ED01, shards);
+        let lines: Vec<&str> = run.lines().collect();
+        assert_eq!(lines.len(), pinned.len(), "{shards} shard(s): line count");
+        for (at, (pinned, got)) in pinned.iter().zip(&lines).enumerate() {
+            assert_eq!(
+                pinned,
+                got,
+                "{shards} shard(s): transcript line {} diverged from the pinned one",
+                at + 1
+            );
         }
     }
 }
