@@ -51,10 +51,9 @@ pub struct AnalysisProbe {
     /// Graham's bounds (`makespan_lower_bound` / `graham_upper_bound`)
     /// without running List Scheduling on them.
     pub ls_runs_pruned: u64,
-    /// Work items offered to the parallel fan-out layer (`MINPROCS` wave
-    /// candidates, FEDCONS phase-1 sizings, experiment trials). Counted
-    /// identically at every pool width — including width 1, where the items
-    /// run inline — so the counter is part of the determinism contract.
+    /// Work items offered to a parallel fan-out. No analysis fans out:
+    /// `MINPROCS` and FEDCONS run on the calling thread, so this reads 0.
+    /// The field stays for wire and snapshot compatibility.
     pub par_tasks_dispatched: u64,
     /// `DBF*` demand terms covered by first-fit tests: one per resident
     /// task per approximate admission test. A test reads its processor's

@@ -1,6 +1,6 @@
-//! Reproducible analysis-engine benchmark: the bound-guided parallel
-//! engine versus a seed-equivalent naive baseline, on the workloads the
-//! optimization targets. Writes a machine-readable `BENCH_analysis.json`.
+//! Reproducible analysis-engine benchmark: the bound-guided engine versus
+//! a seed-equivalent naive baseline, on the workloads the optimization
+//! targets. Writes a machine-readable `BENCH_analysis.json`.
 //!
 //! Usage:
 //!
@@ -20,13 +20,13 @@
 //! List-Scheduling run — including a fresh priority-rank computation —
 //! per candidate, strictly sequentially, with no Graham-bound pruning.
 //!
-//! The **engine** columns run the current analysis at pool widths 1, 2, 4
-//! and 8. On a single-core host the width-1 column already isolates the
-//! algorithmic gains (rank hoisting, bound-guided candidate windows,
-//! certificate decisions); wider pools add wall-clock scaling on
-//! multi-core hosts. Every suite asserts the engine's verdicts equal the
-//! baseline's before any timing is reported — the speedup is never bought
-//! with a different answer.
+//! The **engine** column runs the current analysis on the calling thread,
+//! reported as `threads: 1`: its gains are algorithmic (rank hoisting,
+//! bound-guided candidate windows, certificate decisions). Every suite
+//! asserts the engine's verdicts equal the baseline's before any timing is
+//! reported — the speedup is never bought with a different answer — and
+//! the sizing suites assert it runs LS on exactly the baseline's
+//! candidates.
 //!
 //! The `partition_first_fit` suite times the Fig. 4 first-fit test itself,
 //! in nanoseconds per `fits()` call against shared processors of 8, 64 and
@@ -58,13 +58,9 @@ use fedsched_gen::{DeadlineTightness, Span, Topology, WcetRange};
 use fedsched_graham::list::{
     list_makespan_ranked, list_schedule_ranked, list_schedule_with, PriorityPolicy,
 };
-use fedsched_parallel::Pool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
-
-/// Pool widths exercised by the engine columns.
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// Repeats for the gated `minprocs_sizing` suite (best-of-N wall time).
 const GATED_REPEATS: usize = 3;
@@ -119,6 +115,8 @@ struct BaselineRun {
 
 #[derive(Serialize)]
 struct EngineRun {
+    /// Always 1: the engine runs on the calling thread. Kept so the
+    /// `--gate-minprocs` gate and earlier reports read the same row.
     threads: usize,
     wall_nanos: u64,
     ls_runs: u64,
@@ -187,6 +185,19 @@ fn policy_name(policy: PriorityPolicy) -> &'static str {
         PriorityPolicy::ListOrder => "list",
         PriorityPolicy::CriticalPathFirst => "cpf",
         PriorityPolicy::LongestWcetFirst => "lwf",
+    }
+}
+
+/// The engine row of a suite: its wall time and probe counters against
+/// the baseline's wall time.
+fn engine_run(baseline: &BaselineRun, wall_nanos: u64, probe: &AnalysisProbe) -> EngineRun {
+    EngineRun {
+        threads: 1,
+        wall_nanos,
+        ls_runs: probe.ls_runs,
+        ls_runs_pruned: probe.ls_runs_pruned,
+        par_tasks_dispatched: probe.par_tasks_dispatched,
+        speedup_vs_baseline: baseline.wall_nanos as f64 / wall_nanos.max(1) as f64,
     }
 }
 
@@ -331,40 +342,27 @@ fn suite_minprocs_sizing(tasks: &[DagTask], policy: PriorityPolicy) -> Suite {
         ls_runs: baseline_runs,
     };
 
-    let engine = THREADS
-        .iter()
-        .map(|&threads| {
-            let pool = Pool::new(threads);
-            let mut best_wall = u64::MAX;
-            let mut best_probe = AnalysisProbe::default();
-            for _ in 0..GATED_REPEATS {
-                let mut probe = AnalysisProbe::default();
-                let start = Instant::now();
-                let sizes: Vec<Option<u32>> = pool.install(|| {
-                    tasks
-                        .iter()
-                        .map(|t| {
-                            min_procs_probed(t, available, policy, &mut probe).map(|r| r.processors)
-                        })
-                        .collect()
-                });
-                let wall = nanos_since(start);
-                assert_eq!(sizes, baseline_sizes, "engine sizing must match baseline");
-                if wall < best_wall {
-                    best_wall = wall;
-                    best_probe = probe;
-                }
-            }
-            EngineRun {
-                threads,
-                wall_nanos: best_wall,
-                ls_runs: best_probe.ls_runs,
-                ls_runs_pruned: best_probe.ls_runs_pruned,
-                par_tasks_dispatched: best_probe.par_tasks_dispatched,
-                speedup_vs_baseline: baseline.wall_nanos as f64 / best_wall.max(1) as f64,
-            }
-        })
-        .collect();
+    let mut best_wall = u64::MAX;
+    let mut best_probe = AnalysisProbe::default();
+    for _ in 0..GATED_REPEATS {
+        let mut probe = AnalysisProbe::default();
+        let start = Instant::now();
+        let sizes: Vec<Option<u32>> = tasks
+            .iter()
+            .map(|t| min_procs_probed(t, available, policy, &mut probe).map(|r| r.processors))
+            .collect();
+        let wall = nanos_since(start);
+        assert_eq!(sizes, baseline_sizes, "engine sizing must match baseline");
+        assert_eq!(
+            probe.ls_runs, baseline.ls_runs,
+            "the engine runs LS on exactly the literal sweep's candidates"
+        );
+        if wall < best_wall {
+            best_wall = wall;
+            best_probe = probe;
+        }
+    }
+    let engine = vec![engine_run(&baseline, best_wall, &best_probe)];
 
     Suite {
         workload: "minprocs_sizing",
@@ -392,33 +390,18 @@ fn suite_admission_fits(tasks: &[DagTask], available: u32, policy: PriorityPolic
         ls_runs: baseline_runs,
     };
 
-    let engine = THREADS
+    let mut probe = AnalysisProbe::default();
+    let start = Instant::now();
+    let verdicts: Vec<bool> = tasks
         .iter()
-        .map(|&threads| {
-            let pool = Pool::new(threads);
-            let mut probe = AnalysisProbe::default();
-            let start = Instant::now();
-            let verdicts: Vec<bool> = pool.install(|| {
-                tasks
-                    .iter()
-                    .map(|t| min_procs_fits_probed(t, available, policy, &mut probe))
-                    .collect()
-            });
-            let wall_nanos = nanos_since(start);
-            assert_eq!(
-                verdicts, baseline_verdicts,
-                "engine verdicts must match baseline"
-            );
-            EngineRun {
-                threads,
-                wall_nanos,
-                ls_runs: probe.ls_runs,
-                ls_runs_pruned: probe.ls_runs_pruned,
-                par_tasks_dispatched: probe.par_tasks_dispatched,
-                speedup_vs_baseline: baseline.wall_nanos as f64 / wall_nanos.max(1) as f64,
-            }
-        })
+        .map(|t| min_procs_fits_probed(t, available, policy, &mut probe))
         .collect();
+    let wall_nanos = nanos_since(start);
+    assert_eq!(
+        verdicts, baseline_verdicts,
+        "engine verdicts must match baseline"
+    );
+    let engine = vec![engine_run(&baseline, wall_nanos, &probe)];
 
     Suite {
         workload: "admission_fits",
@@ -463,41 +446,20 @@ fn suite_speed_search(tasks: &[DagTask], grid: u32) -> Suite {
         ls_runs: baseline_runs.get(),
     };
 
-    let engine = THREADS
+    let probe = RefCell::new(AnalysisProbe::default());
+    let start = Instant::now();
+    let speeds: Vec<Option<f64>> = systems
         .iter()
-        .map(|&threads| {
-            let pool = Pool::new(threads);
-            let probe = RefCell::new(AnalysisProbe::default());
-            let start = Instant::now();
-            let speeds: Vec<Option<f64>> = pool.install(|| {
-                systems
-                    .iter()
-                    .map(|(system, m_lb)| {
-                        let accepts = |s: &TaskSystem| {
-                            min_procs_fits_probed(
-                                &s.tasks()[0],
-                                *m_lb,
-                                policy,
-                                &mut probe.borrow_mut(),
-                            )
-                        };
-                        required_speed(system, accepts, grid, 3).map(|s| s.to_f64())
-                    })
-                    .collect()
-            });
-            let wall_nanos = nanos_since(start);
-            assert_eq!(speeds, baseline_speeds, "engine speeds must match baseline");
-            let probe = probe.into_inner();
-            EngineRun {
-                threads,
-                wall_nanos,
-                ls_runs: probe.ls_runs,
-                ls_runs_pruned: probe.ls_runs_pruned,
-                par_tasks_dispatched: probe.par_tasks_dispatched,
-                speedup_vs_baseline: baseline.wall_nanos as f64 / wall_nanos.max(1) as f64,
-            }
+        .map(|(system, m_lb)| {
+            let accepts = |s: &TaskSystem| {
+                min_procs_fits_probed(&s.tasks()[0], *m_lb, policy, &mut probe.borrow_mut())
+            };
+            required_speed(system, accepts, grid, 3).map(|s| s.to_f64())
         })
         .collect();
+    let wall_nanos = nanos_since(start);
+    assert_eq!(speeds, baseline_speeds, "engine speeds must match baseline");
+    let engine = vec![engine_run(&baseline, wall_nanos, &probe.into_inner())];
 
     Suite {
         workload: "experiments_speed_search_e5",
@@ -527,33 +489,22 @@ fn suite_batch_fedcons(systems: &[TaskSystem], m: u32, policy: PriorityPolicy) -
         policy,
         ..FedConsConfig::default()
     };
-    let engine = THREADS
+    let mut probe = AnalysisProbe::default();
+    let start = Instant::now();
+    let verdicts: Vec<bool> = systems
         .iter()
-        .map(|&threads| {
-            let pool = Pool::new(threads);
-            let mut probe = AnalysisProbe::default();
-            let start = Instant::now();
-            let verdicts: Vec<bool> = pool.install(|| {
-                systems
-                    .iter()
-                    .map(|s| fedcons_probed(s, m, config, &mut probe).is_ok())
-                    .collect()
-            });
-            let wall_nanos = nanos_since(start);
-            assert_eq!(
-                verdicts, baseline_verdicts,
-                "engine verdicts must match baseline"
-            );
-            EngineRun {
-                threads,
-                wall_nanos,
-                ls_runs: probe.ls_runs,
-                ls_runs_pruned: probe.ls_runs_pruned,
-                par_tasks_dispatched: probe.par_tasks_dispatched,
-                speedup_vs_baseline: baseline.wall_nanos as f64 / wall_nanos.max(1) as f64,
-            }
-        })
+        .map(|s| fedcons_probed(s, m, config, &mut probe).is_ok())
         .collect();
+    let wall_nanos = nanos_since(start);
+    assert_eq!(
+        verdicts, baseline_verdicts,
+        "engine verdicts must match baseline"
+    );
+    assert_eq!(
+        probe.ls_runs, baseline.ls_runs,
+        "phase 1 runs LS on exactly the literal Fig. 2 loop's candidates"
+    );
+    let engine = vec![engine_run(&baseline, wall_nanos, &probe)];
 
     Suite {
         workload: "batch_fedcons",

@@ -1006,15 +1006,6 @@ pub fn serve_banner(opts: &ServeOptions, handle: &fedsched_service::ServerHandle
             None => "off".to_owned(),
         },
     );
-    let _ = writeln!(
-        out,
-        "  analysis threads: {} ({})",
-        fedsched_parallel::width(),
-        match std::env::var("FEDSCHED_THREADS") {
-            Ok(v) => format!("FEDSCHED_THREADS={v}"),
-            Err(_) => "FEDSCHED_THREADS unset".to_owned(),
-        },
-    );
     match &opts.data_dir {
         None => {
             let _ = writeln!(out, "  durability: off (in-memory only)");
@@ -1503,10 +1494,6 @@ USAGE:
   fedsched client   stats [--format prometheus] [--addr HOST:PORT] [--timeout-ms MS]
   fedsched client   shutdown [--addr HOST:PORT] [--timeout-ms MS]
 
-Global flags: --threads N sizes the analysis thread pool for any
-subcommand (default: FEDSCHED_THREADS, else all cores; analysis results
-are byte-identical at every pool size).
-
 Exit codes: 0 ok, 1 usage/io error, 2 not schedulable
 (`analyze --json` reports rejections in the JSON and exits 0).
 ";
@@ -1901,7 +1888,6 @@ mod tests {
             banner.contains("recovered: 0 replayed record(s)"),
             "fresh dir boots empty: {banner}"
         );
-        assert!(banner.contains("FEDSCHED_THREADS"), "banner: {banner}");
         let addr = handle.local_addr().to_string();
         client_command(
             &addr,

@@ -61,7 +61,6 @@ fn run() -> Result<String, CliError> {
                 | "--max-requests"
                 | "--slow-ms"
                 | "--timeout-ms"
-                | "--threads"
                 | "--connections"
                 | "--rate"
                 | "--growth"
@@ -93,17 +92,6 @@ fn run() -> Result<String, CliError> {
             positional.push(a);
             i += 1;
         }
-    }
-    // `--threads` is a global flag: it sizes the analysis thread pool for
-    // whatever the subcommand runs, so it is handled (and consumed) here
-    // before the per-subcommand flag check.
-    if let Some(pos) = flags.iter().position(|(f, _)| *f == "--threads") {
-        let (_, v) = flags.remove(pos);
-        let v = v.expect("--threads takes a value");
-        let n: usize = v.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
-            CliError::Usage(format!("--threads expects an integer >= 1, got {v:?}"))
-        })?;
-        fedsched_parallel::configure_threads(n);
     }
     // Reject flags the subcommand does not understand: silent typo
     // swallowing (e.g. `--utilisation`) is worse than an error.

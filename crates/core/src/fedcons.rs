@@ -8,8 +8,11 @@
 //! frozen template per dedicated cluster, plus an EDF task partition for the
 //! shared pool.
 //!
-//! Every phase-1 sizing bottoms out in the List-Scheduling kernel, which
-//! runs on the calling thread's reusable
+//! Phase 1 is the literal Fig. 2 loop: each high-density task in id order
+//! is sized by `MINPROCS(τ_i, m_r)` against the processors still
+//! unassigned, and the first task that does not fit ends the analysis.
+//! Every sizing bottoms out in the List-Scheduling kernel, which runs on
+//! the calling thread's reusable
 //! [`LsWorkspace`](fedsched_graham::workspace::LsWorkspace) — across the
 //! whole batch of high-density tasks, steady-state analysis performs one
 //! allocation per frozen template and none inside the kernel loop.
@@ -28,7 +31,7 @@ use fedsched_graham::list::PriorityPolicy;
 use fedsched_graham::schedule::TemplateSchedule;
 use serde::{Deserialize, Serialize};
 
-use crate::minprocs::{intrinsic_min_procs_probed, MinProcsResult};
+use crate::minprocs::min_procs_probed;
 
 /// Options for [`fedcons`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -229,9 +232,11 @@ impl From<PartitionFailure> for FedConsFailure {
 /// DAG task system onto `m` unit-speed processors, or explains why not.
 ///
 /// High-density tasks are processed in task-id order (the paper fixes no
-/// order); each receives the minimal LS cluster via `MINPROCS` and its
-/// template `σ_i`. The low-density remainder is partitioned with the
-/// deadline-ordered first-fit of Fig. 4 onto the leftover processors.
+/// order); each receives the minimal LS cluster within the processors still
+/// unassigned via `MINPROCS` and its template `σ_i`, and the first task
+/// with no such cluster fails the system. The low-density remainder is
+/// partitioned with the deadline-ordered first-fit of Fig. 4 onto the
+/// leftover processors.
 ///
 /// # Errors
 ///
@@ -293,56 +298,25 @@ pub fn fedcons_probed(
     let mut next_processor = 0u32;
     let mut clusters = Vec::new();
 
-    // Phase 1: size every high-density task, then place the sizings.
-    //
-    // Each sizing is *intrinsic* (capped by the task's own vertex count,
-    // never by the residual platform), which makes the sizings independent
-    // of each other — so they all fan out through the parallel façade at
-    // once. The verdict is unchanged from the sequential Fig. 2 loop: the
-    // minimal cluster size within `remaining` equals the intrinsic `μ*_i`
-    // whenever `μ*_i ≤ remaining`, and the task is unsizable otherwise, so
-    // the sequential placement replay below fails at exactly the same task
-    // with exactly the same `remaining` as the literal loop. Per-task
-    // probes are merged in task order, keeping every counter byte-identical
-    // at any pool width. The one intended difference: a run that fails
-    // mid-phase has speculatively sized the later tasks too (they are
-    // likely to be re-offered, and the service caches sizings by shape).
+    // Phase 1 (Fig. 2): size each high-density task in id order on the
+    // processors still unassigned, and fail at the first that does not fit.
     let phase1 = Instant::now();
-    let high_ids = system.high_density_ids();
-    if high_ids.len() > 1 {
-        probe.par_tasks_dispatched = probe
-            .par_tasks_dispatched
-            .saturating_add(high_ids.len() as u64);
-    }
-    let sizings: Vec<(Option<MinProcsResult>, AnalysisProbe)> =
-        fedsched_parallel::par_map(&high_ids, |&id| {
-            let mut local = AnalysisProbe::default();
-            let sizing = intrinsic_min_procs_probed(system.task(id), config.policy, &mut local);
-            (sizing, local)
+    for (id, task) in system.iter().filter(|(_, t)| t.is_high_density()) {
+        let Some(r) = min_procs_probed(task, remaining, config.policy, probe) else {
+            probe.sizing_nanos = probe.sizing_nanos.saturating_add(elapsed_nanos(phase1));
+            return Err(FedConsFailure::HighDensityTask {
+                task: id,
+                remaining,
+            });
+        };
+        clusters.push(DedicatedCluster {
+            task: id,
+            first_processor: next_processor,
+            processors: r.processors,
+            template: r.template,
         });
-    for (_, local) in &sizings {
-        probe.merge(local);
-    }
-    for (&id, (sizing, _)) in high_ids.iter().zip(sizings) {
-        match sizing {
-            Some(r) if r.processors <= remaining => {
-                clusters.push(DedicatedCluster {
-                    task: id,
-                    first_processor: next_processor,
-                    processors: r.processors,
-                    template: r.template,
-                });
-                next_processor += r.processors;
-                remaining -= r.processors;
-            }
-            _ => {
-                probe.sizing_nanos = probe.sizing_nanos.saturating_add(elapsed_nanos(phase1));
-                return Err(FedConsFailure::HighDensityTask {
-                    task: id,
-                    remaining,
-                });
-            }
-        }
+        next_processor += r.processors;
+        remaining -= r.processors;
     }
     probe.sizing_nanos = probe.sizing_nanos.saturating_add(elapsed_nanos(phase1));
 
@@ -465,9 +439,11 @@ mod tests {
         // Example 2 with n = 6: every task has δ = 1, so each is sized by
         // MINPROCS at its lower bound μ = 1 on the first LS attempt — n LS
         // runs, n makespan evaluations, and no partitioning work at all.
-        // Each task is a single vertex (vol = len = 1), so its candidate
-        // window is exactly {1}: the Graham bracket prunes nothing, and the
-        // only fan-out is phase 1 offering the n sizings to the pool.
+        // Each task is a single vertex (vol = len = 1), so its window is
+        // capped at one candidate by the vertex count. The k-th task (from
+        // 0) is sized against m_r = n − k processors, so the bracket prunes
+        // the n − k − 1 candidates of [1, n − k] above it: 5 + 4 + 3 + 2 +
+        // 1 + 0 = 15 in all. Phase 1 runs on the calling thread.
         let n = 6u32;
         let system = paper_example2(n);
         let mut probe = AnalysisProbe::default();
@@ -477,15 +453,8 @@ mod tests {
         assert_eq!(probe.makespan_evaluations, u64::from(n));
         assert_eq!(probe.fits_calls, 0);
         assert_eq!(probe.dbf_approx_evals, 0);
-        assert_eq!(
-            probe.ls_runs_pruned, 0,
-            "windows of one candidate prune nothing"
-        );
-        assert_eq!(
-            probe.par_tasks_dispatched,
-            u64::from(n),
-            "one fan-out item per sizing"
-        );
+        assert_eq!(probe.ls_runs_pruned, 15, "5 + 4 + 3 + 2 + 1 + 0");
+        assert_eq!(probe.par_tasks_dispatched, 0, "phase 1 never fans out");
     }
 
     #[test]

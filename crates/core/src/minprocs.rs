@@ -24,12 +24,11 @@
 //!
 //! Inside the surviving window the search must still return the *smallest*
 //! passing `μ`: the LS makespan is **not** monotone in `μ` (Graham's
-//! timing anomalies), so binary search is unsound. Candidates are evaluated
-//! in geometrically growing waves (1, 2, 4, 8, 8, …); each wave fans out
-//! through [`fedsched_parallel::par_map`] and the first wave containing a
-//! pass answers with its smallest passing member. The wave schedule is
-//! fixed, so the exact set of LS runs — and every probe counter — is
-//! byte-identical at any pool width.
+//! timing anomalies), so binary search is unsound. The sweep is the
+//! literal Fig. 3 loop over the narrowed window: ascending from `⌈δ⌉`, it
+//! stops at the first `μ` whose LS schedule meets `D`. Ranks are computed
+//! once per task, and every LS run reuses the calling thread's kernel
+//! workspace, so a sizing runs entirely on the caller's thread.
 
 use fedsched_analysis::probe::AnalysisProbe;
 use fedsched_dag::task::DagTask;
@@ -48,12 +47,6 @@ pub struct MinProcsResult {
     /// used as the run-time lookup table.
     pub template: TemplateSchedule,
 }
-
-/// Upper limit on the number of candidates evaluated speculatively per
-/// wave. The schedule 1, 2, 4, 8, 8, … keeps the first probe as cheap as
-/// the sequential early-exit loop (windows that pass at `⌈δ⌉` run exactly
-/// one LS) while bounding the overshoot on late passes to one wave.
-pub const SPECULATION_WAVE_LIMIT: u32 = 8;
 
 /// The surviving candidate window of one `MINPROCS` search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,100 +105,28 @@ fn candidate_window(task: &DagTask, available: u32) -> Option<CandidateWindow> {
     }
 }
 
-/// Sweeps `window` in geometric waves, returning the smallest passing `μ`
-/// and its template. Ranks are computed once per task (not per candidate)
-/// and every wave wider than one candidate fans out through the parallel
-/// façade; a one-candidate wave runs inline on the caller's kernel
-/// workspace without building a candidate vector. The accounting in
-/// `probe` is independent of the pool width.
-fn sweep_window(
+/// The literal Fig. 3 loop over `window`: ascending from `window.lo`, one
+/// LS run per candidate, stopping at the first `μ` for which `run` returns
+/// a passing witness. `run` receives the candidate and the task's priority
+/// ranks, computed once per task rather than once per candidate.
+fn sweep_window<R>(
     task: &DagTask,
     window: CandidateWindow,
     policy: PriorityPolicy,
     probe: &mut AnalysisProbe,
-) -> Option<(u32, TemplateSchedule)> {
-    let dag = task.dag();
-    let deadline = task.deadline();
-    let ranks = policy.ranks(dag);
-    let times = dag.wcets();
-    let mut next = window.lo;
-    let mut wave = 1u32;
-    while next <= window.hi {
-        let last = next.saturating_add(wave - 1).min(window.hi);
-        let count = u64::from(last - next) + 1;
-        probe.ls_runs = probe.ls_runs.saturating_add(count);
-        probe.makespan_evaluations = probe.makespan_evaluations.saturating_add(count);
-        if count == 1 {
-            let template = list_schedule_ranked(dag, next, &ranks, times);
-            if template.makespan() <= deadline {
-                return Some((next, template));
-            }
-        } else {
-            probe.par_tasks_dispatched = probe.par_tasks_dispatched.saturating_add(count);
-            let candidates: Vec<u32> = (next..=last).collect();
-            let templates = fedsched_parallel::par_map(&candidates, |&mu| {
-                list_schedule_ranked(dag, mu, &ranks, times)
-            });
-            for (&mu, template) in candidates.iter().zip(templates) {
-                if template.makespan() <= deadline {
-                    return Some((mu, template));
-                }
-            }
-        }
-        next = match last.checked_add(1) {
-            Some(n) => n,
-            None => break,
-        };
-        wave = (wave * 2).min(SPECULATION_WAVE_LIMIT);
-    }
-    debug_assert!(!window.certified, "a certified window always passes");
-    None
-}
-
-/// The decision-only twin of [`sweep_window`]: identical wave schedule and
-/// probe accounting, but each candidate runs the allocation-free
-/// makespan-only kernel path and no template is materialised. Used by the
-/// fit test on windows truncated by `available`, where only the verdict
-/// matters.
-fn sweep_window_fits(
-    task: &DagTask,
-    window: CandidateWindow,
-    policy: PriorityPolicy,
-    probe: &mut AnalysisProbe,
-) -> bool {
-    let dag = task.dag();
-    let deadline = task.deadline();
-    let ranks = policy.ranks(dag);
-    let times = dag.wcets();
-    let mut next = window.lo;
-    let mut wave = 1u32;
-    while next <= window.hi {
-        let last = next.saturating_add(wave - 1).min(window.hi);
-        let count = u64::from(last - next) + 1;
-        probe.ls_runs = probe.ls_runs.saturating_add(count);
-        probe.makespan_evaluations = probe.makespan_evaluations.saturating_add(count);
-        if count == 1 {
-            if list_makespan_ranked(dag, next, &ranks, times) <= deadline {
-                return true;
-            }
-        } else {
-            probe.par_tasks_dispatched = probe.par_tasks_dispatched.saturating_add(count);
-            let candidates: Vec<u32> = (next..=last).collect();
-            let makespans = fedsched_parallel::par_map(&candidates, |&mu| {
-                list_makespan_ranked(dag, mu, &ranks, times)
-            });
-            if makespans.iter().any(|&makespan| makespan <= deadline) {
-                return true;
-            }
-        }
-        next = match last.checked_add(1) {
-            Some(n) => n,
-            None => break,
-        };
-        wave = (wave * 2).min(SPECULATION_WAVE_LIMIT);
-    }
-    debug_assert!(!window.certified, "a certified window always passes");
-    false
+    run: impl Fn(u32, &[u64]) -> Option<R>,
+) -> Option<(u32, R)> {
+    let ranks = policy.ranks(task.dag());
+    let found = (window.lo..=window.hi).find_map(|mu| {
+        probe.ls_runs = probe.ls_runs.saturating_add(1);
+        probe.makespan_evaluations = probe.makespan_evaluations.saturating_add(1);
+        run(mu, &ranks).map(|witness| (mu, witness))
+    });
+    debug_assert!(
+        found.is_some() || !window.certified,
+        "a certified window always passes"
+    );
+    found
 }
 
 /// `MINPROCS(τ_i, m_r)` (paper Fig. 3): the minimum `μ ∈ [⌈δ_i⌉, m_r]` for
@@ -245,9 +166,9 @@ pub fn min_procs(task: &DagTask, available: u32, policy: PriorityPolicy) -> Opti
 
 /// [`min_procs`] with cost accounting: every candidate `μ` tried costs one
 /// List-Scheduling simulation and one makespan-versus-deadline evaluation,
-/// every candidate excluded by the Graham bounds costs one
-/// `ls_runs_pruned` tick, and wave fan-outs are recorded in
-/// `par_tasks_dispatched` — all independent of the pool width.
+/// and every candidate excluded by the Graham bounds costs one
+/// `ls_runs_pruned` tick. The sweep runs on the calling thread, so
+/// `par_tasks_dispatched` is never touched.
 #[must_use]
 pub fn min_procs_probed(
     task: &DagTask,
@@ -260,7 +181,12 @@ pub fn min_procs_probed(
     }
     let window = candidate_window(task, available)?;
     probe.ls_runs_pruned = probe.ls_runs_pruned.saturating_add(window.pruned);
-    sweep_window(task, window, policy, probe).map(|(processors, template)| MinProcsResult {
+    let dag = task.dag();
+    sweep_window(task, window, policy, probe, |mu, ranks| {
+        let template = list_schedule_ranked(dag, mu, ranks, dag.wcets());
+        (template.makespan() <= task.deadline()).then_some(template)
+    })
+    .map(|(processors, template)| MinProcsResult {
         processors,
         template,
     })
@@ -307,7 +233,13 @@ pub fn min_procs_fits_probed(
         return true;
     }
     probe.ls_runs_pruned = probe.ls_runs_pruned.saturating_add(window.pruned);
-    sweep_window_fits(task, window, policy, probe)
+    // The truncated window's verdict needs no template: each candidate runs
+    // the allocation-free makespan-only kernel path.
+    let dag = task.dag();
+    sweep_window(task, window, policy, probe, |mu, ranks| {
+        (list_makespan_ranked(dag, mu, ranks, dag.wcets()) <= task.deadline()).then_some(())
+    })
+    .is_some()
 }
 
 /// The *intrinsic* sizing `μ*_i` of a task: [`min_procs`] with the cap set
@@ -464,17 +396,14 @@ mod tests {
         // bracket is ⌈(6−1)/(2−1)⌉ = 5 (< vertex count 6). Against 8
         // available processors the literal Fig. 3 window is [3, 8]; the
         // bounds cut it to [3, 5], pruning exactly candidates {6, 7, 8}.
-        // μ = 3 passes on the first wave, so exactly one LS runs.
+        // μ = 3 passes first, so exactly one LS runs.
         let t = parallel_task(6, 1, 2, 10);
         let mut probe = AnalysisProbe::default();
         let r = min_procs_probed(&t, 8, PriorityPolicy::ListOrder, &mut probe).unwrap();
         assert_eq!(r.processors, 3);
         assert_eq!(probe.ls_runs, 1);
         assert_eq!(probe.ls_runs_pruned, 3, "candidates 6, 7, 8 are pruned");
-        assert_eq!(
-            probe.par_tasks_dispatched, 0,
-            "a one-candidate wave runs inline"
-        );
+        assert_eq!(probe.par_tasks_dispatched, 0, "the sweep never fans out");
 
         // The same task with available exactly at the bracket: nothing to
         // prune above the top, identical answer.
@@ -485,13 +414,13 @@ mod tests {
     }
 
     #[test]
-    fn wave_sweep_returns_minimum_passing_candidate() {
+    fn sweep_stops_at_minimum_passing_candidate() {
         // Two unit-cost independent vertices a1(3), a2(3) plus a chain
         // c1(2) → c2(2) → c3(2): vol 12, len 6, D 7 ⇒ lo = ⌈12/7⌉ = 2,
         // bracket ⌈(12−6)/(7−6)⌉ = 6 capped by vertex count 5. Hand-run of
-        // ListOrder LS: μ = 2 finishes at 9 (fail), μ = 3 at 6 (pass).
-        // Waves are {2} then {3, 4}: three LS runs, answer μ = 3 even
-        // though μ = 4 was evaluated speculatively in the same wave.
+        // ListOrder LS: μ = 2 finishes at 9 (fail), μ = 3 at 6 (pass). The
+        // sweep stops there: two LS runs, answer μ = 3, and μ = 4 and 5
+        // never run.
         let mut b = DagBuilder::new();
         let v = b.add_vertices([3, 3, 2, 2, 2].map(Duration::new));
         b.add_edge(v[2], v[3]).unwrap();
@@ -500,12 +429,10 @@ mod tests {
         let mut probe = AnalysisProbe::default();
         let r = min_procs_probed(&t, 10, PriorityPolicy::ListOrder, &mut probe).unwrap();
         assert_eq!(r.processors, 3, "smallest passing μ, not just any pass");
-        assert_eq!(probe.ls_runs, 3, "waves {{2}} and {{3, 4}}");
+        assert_eq!(probe.ls_runs, 2, "μ = 2 fails, μ = 3 passes");
+        assert_eq!(probe.makespan_evaluations, 2);
         assert_eq!(probe.ls_runs_pruned, 5, "candidates 6..=10 never run");
-        assert_eq!(
-            probe.par_tasks_dispatched, 2,
-            "the two-candidate wave fans out"
-        );
+        assert_eq!(probe.par_tasks_dispatched, 0, "the sweep never fans out");
         // Cross-check minimality the expensive way.
         let s2 = fedsched_graham::list::list_schedule(t.dag(), 2);
         assert!(s2.makespan() > t.deadline());

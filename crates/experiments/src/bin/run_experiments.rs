@@ -8,8 +8,8 @@
 //!
 //! Prints each table and writes its CSV next to it under `--out`
 //! (default `results/`). `--quick` shrinks the sweeps for smoke runs.
-//! `--threads N` sizes the analysis thread pool (results are
-//! byte-identical at every pool size).
+//! `--threads N` sizes the thread pool the seeded trials fan out over
+//! (results are byte-identical at every pool size).
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -1,12 +1,14 @@
 //! Parallel execution façade for the fedsched workspace.
 //!
-//! Every analysis hot path fans out through this crate instead of touching
-//! the vendored `worksteal` pool directly, which buys three things:
+//! The experiments harness fans its seeded trials out through this crate
+//! instead of touching the vendored `worksteal` pool directly; FEDCONS and
+//! `MINPROCS` themselves run on the calling thread. The façade buys three
+//! things:
 //!
 //! * **One global pool.** [`global`] builds the pool lazily on first use,
-//!   sized from (in priority order) [`configure_threads`] — the CLI's
-//!   `--threads` flag — the `FEDSCHED_THREADS` environment variable, and
-//!   finally [`std::thread::available_parallelism`].
+//!   sized from (in priority order) [`configure_threads`] —
+//!   `run_experiments --threads` — the `FEDSCHED_THREADS` environment
+//!   variable, and finally [`std::thread::available_parallelism`].
 //! * **A sequential escape hatch.** A pool of width 1 spawns no threads and
 //!   runs every work item inline, in submission order, on the calling
 //!   thread. `FEDSCHED_THREADS=1` (or `--threads 1`) therefore reproduces
@@ -14,10 +16,8 @@
 //! * **A determinism contract.** [`par_map`] preserves input order: the
 //!   result vector is indexed exactly like the input slice regardless of
 //!   which thread computed which element, and callers reduce over it in
-//!   input order. Combined with pool-size-independent work accounting at
-//!   the call sites, every analysis result, frozen σ template, and probe
-//!   counter is byte-identical at any pool width (see
-//!   `docs/PERFORMANCE.md`).
+//!   input order, so every experiment table is byte-identical at any pool
+//!   width (see `docs/PERFORMANCE.md`).
 //!
 //! Tests that need a specific width without disturbing the process-global
 //! pool use [`Pool::new`] + [`Pool::install`], which scopes the pool to a
@@ -87,7 +87,6 @@ impl Pool {
                 let pool = self.clone();
                 scope.spawn(move || {
                     // Re-install this pool on the worker so nested fan-outs
-                    // (e.g. the MINPROCS wave inside a FEDCONS phase-1 item)
                     // stay on the pool the caller chose.
                     let value = pool.install(|| f(item));
                     *slot.lock().unwrap() = Some(value);
@@ -123,9 +122,9 @@ static GLOBAL: OnceLock<Pool> = OnceLock::new();
 static REQUESTED: Mutex<Option<usize>> = Mutex::new(None);
 
 /// Requests a width for the global pool. Effective only before the pool is
-/// first used (the CLI calls this while parsing `--threads`, before any
-/// analysis runs); returns `false` if the pool already exists, in which
-/// case the request is ignored.
+/// first used (`run_experiments` calls this while parsing `--threads`,
+/// before any trial runs); returns `false` if the pool already exists, in
+/// which case the request is ignored.
 pub fn configure_threads(width: usize) -> bool {
     *REQUESTED.lock().unwrap() = Some(width.max(1));
     GLOBAL.get().is_none()

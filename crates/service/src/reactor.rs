@@ -639,12 +639,19 @@ impl<'a> Reactor<'a> {
         // Delete, not empty-interest: a level-triggered EPOLLRDHUP from a
         // half-closed client would otherwise spin the loop.
         let _ = self.poller.delete(conn.stream.as_raw_fd());
+        // Uncounted before the job is queued, so a `Stats` answer rendered
+        // for this very request already excludes this connection.
+        let (served, timer) = (conn.served, conn.timer);
+        self.shard()
+            .reactor
+            .registered_fds
+            .fetch_sub(1, Ordering::Relaxed);
         self.shared.jobs.push(Job {
             shard: self.shard_idx,
             token,
             frames,
-            served: conn.served,
-            timer: conn.timer,
+            served,
+            timer,
         });
     }
 
@@ -761,6 +768,9 @@ impl<'a> Reactor<'a> {
         self.close(token);
     }
 
+    /// Sets the connection's epoll interest, re-adding its fd if dispatch
+    /// deleted it. The `registered_fds` gauge moves with every add and
+    /// delete, so it counts exactly the connections with `registered` set.
     fn set_interest(&mut self, token: usize, interest: Interest) {
         let (fd, registered) = {
             let Some(conn) = self.conns[token].as_mut() else {
@@ -773,6 +783,10 @@ impl<'a> Reactor<'a> {
         let result = if registered {
             self.poller.modify(fd, token as u64, interest)
         } else {
+            self.shard()
+                .reactor
+                .registered_fds
+                .fetch_add(1, Ordering::Relaxed);
             self.poller.add(fd, token as u64, interest)
         };
         if result.is_err() {
@@ -789,15 +803,15 @@ impl<'a> Reactor<'a> {
         };
         if conn.registered {
             let _ = self.poller.delete(conn.stream.as_raw_fd());
+            self.shard()
+                .reactor
+                .registered_fds
+                .fetch_sub(1, Ordering::Relaxed);
         }
         drop(conn);
         self.slot_gen[token] += 1;
         self.free.push(token);
         self.active -= 1;
-        self.shard()
-            .reactor
-            .registered_fds
-            .fetch_sub(1, Ordering::Relaxed);
     }
 }
 

@@ -404,7 +404,6 @@ impl AdmissionState {
         // probe; diffing around the admission yields this request's share
         // for the event stream.
         let pruned_before = self.probe.ls_runs_pruned;
-        let dispatched_before = self.probe.par_tasks_dispatched;
         let result = self.admit_inner(task, trace);
         match &result {
             Ok(_) if high => self.stats.admitted_high += 1,
@@ -416,14 +415,6 @@ impl AdmissionState {
         let pruned = self.probe.ls_runs_pruned.saturating_sub(pruned_before);
         if pruned > 0 {
             self.sink.add(trace, CounterKind::LsRunsPruned, pruned);
-        }
-        let dispatched = self
-            .probe
-            .par_tasks_dispatched
-            .saturating_sub(dispatched_before);
-        if dispatched > 0 {
-            self.sink
-                .add(trace, CounterKind::ParTasksDispatched, dispatched);
         }
         self.sink.count(
             trace,

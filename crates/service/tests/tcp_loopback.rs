@@ -164,3 +164,43 @@ fn in_process_shutdown_stops_the_workers() {
     drop(client);
     handle.shutdown(); // joins internally; must not hang
 }
+
+#[test]
+fn registered_fd_gauge_excludes_connections_in_dispatch() {
+    // Connection A completes one request and idles, so its fd is back in
+    // its shard's epoll set. Connection B asks for stats: while B's
+    // response renders, B is in dispatch and its fd is out of epoll, so
+    // the shards' gauges must sum to exactly 1. A's re-registration
+    // follows its response onto the wire, hence the bounded poll.
+    let handle = start_server(4);
+    let addr = handle.local_addr();
+    let mut a = Client::connect(addr).expect("connect A");
+    assert!(matches!(
+        a.admit(&light_task()).unwrap(),
+        Response::Admitted { .. }
+    ));
+    let mut b = Client::connect(addr).expect("connect B");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    let registered = loop {
+        let snapshot = match b.stats().unwrap() {
+            Response::Stats { snapshot } => snapshot,
+            other => panic!("stats answered {other:?}"),
+        };
+        let fds: u64 = snapshot
+            .shards
+            .iter()
+            .map(|s| s.reactor_registered_fds)
+            .sum();
+        if fds == 1 || std::time::Instant::now() >= deadline {
+            break fds;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    };
+    assert_eq!(
+        registered, 1,
+        "the idle connection counts, the one in dispatch does not"
+    );
+    drop(a);
+    assert!(matches!(b.shutdown().unwrap(), Response::ShuttingDown));
+    handle.join();
+}

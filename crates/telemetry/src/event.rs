@@ -122,8 +122,9 @@ pub enum CounterKind {
     /// A `MINPROCS` candidate eliminated by the Graham bounds without
     /// running List Scheduling.
     LsRunsPruned,
-    /// A work item offered to the parallel analysis fan-out (counted
-    /// independently of the pool width actually in effect).
+    /// A work item offered to a parallel analysis fan-out. The analysis
+    /// runs on the calling thread, so nothing emits it; the kind keeps its
+    /// name in exported traces.
     ParTasksDispatched,
     /// A decision record appended to the admission server's write-ahead
     /// log.

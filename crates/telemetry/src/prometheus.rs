@@ -162,7 +162,7 @@ pub fn render_probe(prefix: &str, probe: &AnalysisProbe, out: &mut PromText) {
         ),
         (
             "par_tasks_dispatched",
-            "Work items offered to the parallel analysis fan-out",
+            "Work items offered to a parallel analysis fan-out (0: the analysis runs on the calling thread)",
             probe.par_tasks_dispatched,
         ),
         (
