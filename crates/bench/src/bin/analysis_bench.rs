@@ -65,6 +65,11 @@ use serde::Serialize;
 /// Repeats for the gated `minprocs_sizing` suite (best-of-N wall time).
 const GATED_REPEATS: usize = 3;
 
+/// Fixed cluster sizes of the `ls_kernel` suite's wide rows, where a
+/// processor heap cost `log μ` per operation: 64, inside the suite's
+/// 40–120 vertex counts, and 256, past all of them.
+const KERNEL_WIDE_MU: [u32; 2] = [64, 256];
+
 /// Residents per shared processor in the `partition_first_fit` suite.
 const FIT_RESIDENTS: [usize; 3] = [8, 64, 135];
 
@@ -139,6 +144,9 @@ struct Suite {
 #[derive(Serialize)]
 struct KernelPath {
     path: &'static str,
+    /// The cluster size every task ran on, or `None` for each task's own
+    /// `⌈δ⌉` lower bound (capped at 64).
+    processors: Option<u32>,
     nanos_per_run: f64,
     allocs_per_run: f64,
 }
@@ -517,10 +525,12 @@ fn suite_batch_fedcons(systems: &[TaskSystem], m: u32, policy: PriorityPolicy) -
 
 /// Raw kernel microbenchmark: `iters` warm passes over every task's DAG
 /// at its processor lower bound, for the makespan-only and the
-/// template-materialising entry points. Ranks are precomputed (the kernel
-/// is what is under test) and one untimed pass warms the thread workspace
-/// to its steady-state capacity, so the reported allocation counts are
-/// the kernel's own: ~0 per makespan run, ~1 per template run.
+/// template-materialising entry points, then the makespan-only path at
+/// each [`KERNEL_WIDE_MU`] cluster size. Ranks are precomputed (the kernel
+/// is what is under test) and one untimed pass at the widest cluster
+/// warms the thread workspace to its steady-state capacity, so the
+/// reported allocation counts are the kernel's own: 0 per makespan run, 1
+/// per template run.
 fn suite_ls_kernel(tasks: &[DagTask], policy: PriorityPolicy, iters: u64) -> KernelSuite {
     let prepared: Vec<(&DagTask, Vec<u64>, u32)> = tasks
         .iter()
@@ -530,44 +540,54 @@ fn suite_ls_kernel(tasks: &[DagTask], policy: PriorityPolicy, iters: u64) -> Ker
             (t, ranks, mu)
         })
         .collect();
-    for (task, ranks, mu) in &prepared {
+    let widest = KERNEL_WIDE_MU.into_iter().max().unwrap_or(1);
+    for (task, ranks, _) in &prepared {
         let dag = task.dag();
-        black_box(list_schedule_ranked(dag, *mu, ranks, dag.wcets()));
+        black_box(list_schedule_ranked(dag, widest, ranks, dag.wcets()));
     }
-    let runs = iters * prepared.len() as u64;
-
-    let allocs_before = allocations();
-    let start = Instant::now();
-    for _ in 0..iters {
-        for (task, ranks, mu) in &prepared {
-            let dag = task.dag();
-            black_box(list_makespan_ranked(dag, *mu, ranks, dag.wcets()));
-        }
+    let mut paths = vec![
+        time_kernel_path(&prepared, iters, "makespan", None),
+        time_kernel_path(&prepared, iters, "template", None),
+    ];
+    for mu in KERNEL_WIDE_MU {
+        paths.push(time_kernel_path(&prepared, iters, "makespan", Some(mu)));
     }
-    let makespan_path = KernelPath {
-        path: "makespan",
-        nanos_per_run: nanos_since(start) as f64 / runs as f64,
-        allocs_per_run: (allocations() - allocs_before) as f64 / runs as f64,
-    };
-
-    let allocs_before = allocations();
-    let start = Instant::now();
-    for _ in 0..iters {
-        for (task, ranks, mu) in &prepared {
-            let dag = task.dag();
-            black_box(list_schedule_ranked(dag, *mu, ranks, dag.wcets()));
-        }
-    }
-    let template_path = KernelPath {
-        path: "template",
-        nanos_per_run: nanos_since(start) as f64 / runs as f64,
-        allocs_per_run: (allocations() - allocs_before) as f64 / runs as f64,
-    };
-
     KernelSuite {
         items: prepared.len(),
         iters_per_item: iters,
-        paths: vec![makespan_path, template_path],
+        paths,
+    }
+}
+
+/// Times one `ls_kernel` row: `iters` passes over `prepared` through the
+/// `"makespan"` or `"template"` entry point, on `processors` or else each
+/// task's lower bound.
+fn time_kernel_path(
+    prepared: &[(&DagTask, Vec<u64>, u32)],
+    iters: u64,
+    path: &'static str,
+    processors: Option<u32>,
+) -> KernelPath {
+    let template = path == "template";
+    let runs = iters * prepared.len() as u64;
+    let allocs_before = allocations();
+    let start = Instant::now();
+    for _ in 0..iters {
+        for (task, ranks, lower_bound) in prepared {
+            let dag = task.dag();
+            let mu = processors.unwrap_or(*lower_bound);
+            if template {
+                black_box(list_schedule_ranked(dag, mu, ranks, dag.wcets()));
+            } else {
+                black_box(list_makespan_ranked(dag, mu, ranks, dag.wcets()));
+            }
+        }
+    }
+    KernelPath {
+        path,
+        processors,
+        nanos_per_run: nanos_since(start) as f64 / runs as f64,
+        allocs_per_run: (allocations() - allocs_before) as f64 / runs as f64,
     }
 }
 
@@ -762,8 +782,11 @@ fn main() -> ExitCode {
     }
 
     for path in &report.ls_kernel.paths {
+        let processors = path
+            .processors
+            .map_or_else(|| "lower bound".to_owned(), |mu| format!("mu={mu}"));
         println!(
-            "ls_kernel [{}] ({} items x {} iters): {:.0} ns/run, {:.3} allocs/run",
+            "ls_kernel [{} @ {processors}] ({} items x {} iters): {:.0} ns/run, {:.3} allocs/run",
             path.path,
             report.ls_kernel.items,
             report.ls_kernel.iters_per_item,

@@ -15,7 +15,8 @@
 //! the calling thread's reusable
 //! [`LsWorkspace`](fedsched_graham::workspace::LsWorkspace) — across the
 //! whole batch of high-density tasks, steady-state analysis performs one
-//! allocation per frozen template and none inside the kernel loop.
+//! allocation per frozen template and none inside the kernel loop or for
+//! a candidate that misses its deadline.
 
 use core::fmt;
 use std::time::Instant;

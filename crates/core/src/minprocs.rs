@@ -28,12 +28,15 @@
 //! literal Fig. 3 loop over the narrowed window: ascending from `⌈δ⌉`, it
 //! stops at the first `μ` whose LS schedule meets `D`. Ranks are computed
 //! once per task, and every LS run reuses the calling thread's kernel
-//! workspace, so a sizing runs entirely on the caller's thread.
+//! workspace, so a sizing runs entirely on the caller's thread. Only the
+//! passing candidate's schedule is copied into a template
+//! ([`list_schedule_within`]): the candidates that miss `D` allocate
+//! nothing.
 
 use fedsched_analysis::probe::AnalysisProbe;
 use fedsched_dag::task::DagTask;
 use fedsched_graham::list::{
-    graham_bracket_from_lengths, list_makespan_ranked, list_schedule_ranked, PriorityPolicy,
+    graham_bracket_from_lengths, list_makespan_ranked, list_schedule_within, PriorityPolicy,
 };
 use fedsched_graham::schedule::TemplateSchedule;
 
@@ -183,8 +186,7 @@ pub fn min_procs_probed(
     probe.ls_runs_pruned = probe.ls_runs_pruned.saturating_add(window.pruned);
     let dag = task.dag();
     sweep_window(task, window, policy, probe, |mu, ranks| {
-        let template = list_schedule_ranked(dag, mu, ranks, dag.wcets());
-        (template.makespan() <= task.deadline()).then_some(template)
+        list_schedule_within(dag, mu, ranks, dag.wcets(), task.deadline())
     })
     .map(|(processors, template)| MinProcsResult {
         processors,

@@ -6,9 +6,12 @@
 //!    three heaps over `(rank, vertex)`, `(free_at, processor)` and
 //!    `(finish, vertex)` — must produce the *same bytes*: every entry's
 //!    processor, start and finish. All three key tuples have unique second
-//!    components, so the pop sequences are total orders and any correct
-//!    min-queue must agree; this test is the executable form of that
-//!    argument.
+//!    components, so the pop sequences are total orders, and the
+//!    workspace's bitset, idle-processor queue and running list must
+//!    reproduce them; this test is the executable form of that argument.
+//!    It covers processor counts from 1 to past the vertex count, and
+//!    execution times other than the WCETs, zero included, as the
+//!    simulator and the anomaly demonstration pass.
 //! 2. The same generated schedules must come back byte-identical whether
 //!    the kernel runs on the caller's thread or on `fedsched-parallel`
 //!    pool workers at widths 1, 2 and 8 (one thread-local workspace each).
@@ -21,7 +24,9 @@ use fedsched_dag::graph::{Dag, VertexId};
 use fedsched_dag::system::TaskSystem;
 use fedsched_dag::time::Duration;
 use fedsched_gen::{DeadlineTightness, Span, SystemConfig, Topology, WcetRange};
-use fedsched_graham::list::{list_makespan_ranked, list_schedule_ranked, PriorityPolicy};
+use fedsched_graham::list::{
+    list_makespan_ranked, list_schedule_ranked, list_schedule_within, PriorityPolicy,
+};
 use fedsched_graham::schedule::{ScheduleEntry, TemplateSchedule};
 use fedsched_parallel::Pool;
 use proptest::prelude::*;
@@ -120,6 +125,12 @@ fn arb_system() -> impl Strategy<Value = TaskSystem> {
     })
 }
 
+/// Cluster sizes from the contended `1..=9` up to 80, past every
+/// generated vertex count (at most 14) and past 64.
+fn arb_processors() -> impl Strategy<Value = u32> {
+    prop_oneof![1u32..=9, 10u32..=80]
+}
+
 fn arb_policy() -> impl Strategy<Value = PriorityPolicy> {
     prop_oneof![
         Just(PriorityPolicy::ListOrder),
@@ -135,7 +146,7 @@ proptest! {
     fn workspace_kernel_matches_retired_heap_kernel(
         system in arb_system(),
         policy in arb_policy(),
-        processors in 1u32..=9,
+        processors in arb_processors(),
     ) {
         for (_, task) in system.iter() {
             let dag = task.dag();
@@ -145,6 +156,69 @@ proptest! {
             prop_assert_eq!(&actual, &expected, "schedules must be byte-identical");
             prop_assert_eq!(
                 list_makespan_ranked(dag, processors, &ranks, dag.wcets()),
+                expected.makespan(),
+                "decision-only path must agree"
+            );
+        }
+    }
+
+    /// The template-on-pass entry point `MINPROCS` sizes with returns no
+    /// template when the oracle's makespan is above the deadline, and the
+    /// oracle's bytes when it is at or below.
+    #[test]
+    fn template_on_pass_matches_retired_heap_kernel(
+        system in arb_system(),
+        policy in arb_policy(),
+        processors in arb_processors(),
+    ) {
+        for (_, task) in system.iter() {
+            let dag = task.dag();
+            let ranks = policy.ranks(dag);
+            let expected = heap_kernel_reference(dag, processors, &ranks, dag.wcets());
+            let makespan = expected.makespan();
+            let deadlines = [
+                makespan.saturating_sub(Duration::new(1)),
+                makespan,
+                makespan + Duration::new(1),
+                task.deadline(),
+            ];
+            for deadline in deadlines {
+                let on_pass = list_schedule_within(dag, processors, &ranks, dag.wcets(), deadline);
+                let oracle = (makespan <= deadline).then(|| expected.clone());
+                prop_assert_eq!(on_pass, oracle, "deadline {}", deadline);
+            }
+        }
+    }
+
+    /// Execution times other than the WCETs, zero included: a zero-time
+    /// job hands its processor back at its start, and its successors are
+    /// released at the same instant, after that instant's dispatches.
+    #[test]
+    fn workspace_kernel_matches_retired_heap_kernel_on_any_times(
+        system in arb_system(),
+        policy in arb_policy(),
+        processors in arb_processors(),
+        salt in any::<u64>(),
+    ) {
+        for (_, task) in system.iter() {
+            let dag = task.dag();
+            let ranks = policy.ranks(dag);
+            // Each time in `0..=wcet`; one in four is forced to zero.
+            let times: Vec<Duration> = dag
+                .wcets()
+                .iter()
+                .enumerate()
+                .map(|(v, w)| {
+                    let mix = salt.rotate_left(7 * v as u32) ^ (v as u64).wrapping_mul(0x9E37_79B9);
+                    let ticks = if mix.is_multiple_of(4) { 0 } else { (mix >> 2) % (w.ticks() + 1) };
+                    Duration::new(ticks)
+                })
+                .collect();
+            let expected = heap_kernel_reference(dag, processors, &ranks, &times);
+            let actual = list_schedule_ranked(dag, processors, &ranks, &times);
+            prop_assert_eq!(&actual, &expected, "schedules must be byte-identical");
+            prop_assert_eq!(
+                list_makespan_ranked(dag, processors, &ranks, &times),
                 expected.makespan(),
                 "decision-only path must agree"
             );

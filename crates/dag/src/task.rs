@@ -265,9 +265,12 @@ impl DagTask {
     }
 
     /// `true` if `δ_i ≥ 1` (*high-density*, paper Section II).
+    ///
+    /// Compared in integers as `vol_i ≥ min(D_i, T_i)`, which is `δ_i ≥ 1`
+    /// because the constructor rejects a zero deadline or period.
     #[must_use]
     pub fn is_high_density(&self) -> bool {
-        self.density() >= Rational::ONE
+        self.volume >= self.deadline_period_min()
     }
 
     /// `true` if `δ_i < 1` (*low-density*).

@@ -128,6 +128,45 @@ proptest! {
     }
 }
 
+/// Tick counts across the whole positive `u64` range, both ends included.
+fn arb_ticks() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        1u64..=64,
+        any::<u64>().prop_map(|t| t.max(1)),
+        u64::MAX - 64..=u64::MAX,
+    ]
+}
+
+proptest! {
+    /// The integer density test `vol ≥ min(D, T)` is the exact `δ ≥ 1`,
+    /// up to `u64::MAX` ticks and at the threshold itself.
+    #[test]
+    fn integer_density_test_matches_rational_density(
+        wcet in arb_ticks(),
+        d in arb_ticks(),
+        t in arb_ticks(),
+        tie in 0u8..4,
+    ) {
+        // Three cases in four put the volume on the threshold or one tick
+        // either side of it.
+        let min = d.min(t);
+        let wcet = match tie {
+            0 => min.saturating_sub(1).max(1),
+            1 => min,
+            2 => min.saturating_add(1),
+            _ => wcet,
+        };
+        let task = DagTask::new(
+            Dag::single_vertex(Duration::new(wcet)),
+            Duration::new(d),
+            Duration::new(t),
+        )
+        .unwrap();
+        prop_assert_eq!(task.is_high_density(), task.density() >= Rational::ONE);
+        prop_assert_eq!(task.is_low_density(), task.density() < Rational::ONE);
+    }
+}
+
 proptest! {
     /// Rational arithmetic: field axioms on random small fractions.
     #[test]

@@ -43,7 +43,7 @@ pub mod workspace;
 pub use anomaly::{classic_anomaly_dag, demonstrate_classic_anomaly, AnomalyDemo};
 pub use list::{
     graham_upper_bound, list_makespan_ranked, list_schedule, list_schedule_ranked,
-    list_schedule_with, makespan_lower_bound, PriorityPolicy,
+    list_schedule_with, list_schedule_within, makespan_lower_bound, PriorityPolicy,
 };
 pub use optimal::{optimal_makespan, OptimalMakespan};
 pub use schedule::{ScheduleEntry, ScheduleError, TemplateSchedule};

@@ -152,6 +152,30 @@ pub fn list_schedule_ranked(
     })
 }
 
+/// The `MINPROCS` candidate test: the [`list_schedule_ranked`] run, with
+/// the template materialised only if its makespan is at most `deadline`.
+/// A failing candidate returns `None` without allocating (in steady
+/// state); a passing one allocates the returned entry vector.
+///
+/// # Panics
+///
+/// Panics if `processors` is zero or `times`/`ranks` are not
+/// `dag.vertex_count()` long.
+#[must_use]
+pub fn list_schedule_within(
+    dag: &Dag,
+    processors: u32,
+    ranks: &[u64],
+    times: &[Duration],
+    deadline: Duration,
+) -> Option<TemplateSchedule> {
+    assert_eq!(ranks.len(), dag.vertex_count(), "one rank per vertex");
+    with_thread_workspace(|ws| {
+        ws.prepare(ranks);
+        ws.template_within(dag, processors, times, deadline)
+    })
+}
+
 /// The decision-only variant of [`list_schedule_ranked`]: the same kernel
 /// run, returning just the makespan without materialising a template.
 /// Allocation-free in steady state — callers that only compare against a

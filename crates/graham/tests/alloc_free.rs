@@ -12,7 +12,9 @@ use std::cell::Cell;
 
 use fedsched_dag::graph::{Dag, DagBuilder};
 use fedsched_dag::time::Duration;
-use fedsched_graham::list::{list_makespan_ranked, list_schedule_ranked, PriorityPolicy};
+use fedsched_graham::list::{
+    list_makespan_ranked, list_schedule_ranked, list_schedule_within, PriorityPolicy,
+};
 use fedsched_graham::workspace::LsWorkspace;
 
 thread_local! {
@@ -53,9 +55,9 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-/// A layered DAG wide enough to exercise the bitset and both heaps: 64
-/// vertices in 8 layers, each vertex depending on two vertices of the
-/// previous layer.
+/// A layered DAG wide enough to exercise the bitset, the idle-processor
+/// queue and the running list: 64 vertices in 8 layers, each vertex
+/// depending on two vertices of the previous layer.
 fn layered_dag() -> Dag {
     let mut b = DagBuilder::new();
     let vs = b.add_vertices((0..64).map(|i| Duration::new(1 + (i * 7) % 13)));
@@ -76,7 +78,7 @@ fn warm_workspace_kernel_runs_are_allocation_free() {
     let mut ws = LsWorkspace::new();
     ws.prepare(&ranks);
     // Warm-up at the largest processor count the loop will see, so every
-    // buffer (heaps included) reaches its steady-state capacity.
+    // buffer reaches its steady-state capacity.
     let warm = ws.template(&dag, 8, dag.wcets());
     assert!(warm.makespan() > Duration::ZERO);
 
@@ -151,4 +153,66 @@ fn public_entry_points_stay_lean_through_the_thread_workspace() {
         "list_schedule_ranked allocates only the returned entries"
     );
     assert_eq!(again, warm);
+}
+
+#[test]
+fn warm_makespan_path_is_allocation_free_at_wide_clusters() {
+    let dag = layered_dag();
+    let ranks = PriorityPolicy::CriticalPathFirst.ranks(&dag);
+    let mut ws = LsWorkspace::new();
+    ws.prepare(&ranks);
+    let warm = ws.template(&dag, 256, dag.wcets());
+
+    // Clusters as wide as the DAG and wider: every vertex starts at its
+    // earliest start, so the makespan is the longest chain.
+    let chain = dag.longest_chain().length;
+    let before = allocations();
+    let mut all_chain = true;
+    for mu in [64u32, 65, 256, 1 << 20] {
+        all_chain &= ws.makespan(&dag, mu, dag.wcets()) == chain;
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "the warm makespan-only kernel must not allocate at wide clusters"
+    );
+    assert!(all_chain);
+    assert_eq!(warm.makespan(), chain);
+}
+
+#[test]
+fn failing_candidates_allocate_nothing_and_the_passing_one_its_entries() {
+    let dag = layered_dag();
+    let ranks = PriorityPolicy::ListOrder.ranks(&dag);
+    let spans: Vec<Duration> = (1..=8)
+        .map(|mu| list_makespan_ranked(&dag, mu, &ranks, dag.wcets()))
+        .collect();
+    // A deadline μ = 8 meets; every candidate before the first that meets
+    // it fails.
+    let deadline = spans[7];
+    let first_pass = spans
+        .iter()
+        .position(|&s| s <= deadline)
+        .expect("μ = 8 passes") as u32
+        + 1;
+    assert!(first_pass > 2, "the first candidates must fail: {spans:?}");
+    let _ = list_schedule_within(&dag, 8, &ranks, dag.wcets(), deadline);
+
+    let before = allocations();
+    let sizing = (1..=8).find_map(|mu| {
+        list_schedule_within(&dag, mu, &ranks, dag.wcets(), deadline).map(|t| (mu, t))
+    });
+    let after = allocations();
+    let (mu, template) = sizing.expect("some candidate passes");
+    assert_eq!(mu, first_pass);
+    assert_eq!(
+        after - before,
+        1,
+        "{} failing candidates, then one template",
+        first_pass - 1
+    );
+    assert_eq!(
+        template,
+        list_schedule_ranked(&dag, mu, &ranks, dag.wcets())
+    );
 }
