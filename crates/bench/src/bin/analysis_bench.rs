@@ -5,15 +5,19 @@
 //! Usage:
 //!
 //! ```text
-//! analysis_bench [--quick] [--out FILE] [--gate-minprocs RATIO]
+//! analysis_bench [--quick] [--out FILE] [--gate-admission-fits RATIO]
 //! ```
 //!
-//! `--gate-minprocs RATIO` turns the report into a regression gate: after
-//! writing the JSON, the run fails if the 1-thread `minprocs_sizing`
-//! engine speedup falls below `RATIO`. The gated suite is measured
-//! best-of-3 (minimum wall time of three identical passes per side) so
-//! the gate compares the workloads, not scheduler jitter; results are
-//! asserted equal on every repeat.
+//! `--gate-admission-fits RATIO` turns the report into a regression gate:
+//! after writing the JSON, the run fails if the `admission_fits` engine
+//! speedup falls below `RATIO`. That suite is gated because the engine
+//! does structurally less work there: its certificate path settles every
+//! query with no LS run, where the baseline sweeps LS, so the ratio sits
+//! hundreds of times above parity and a floor far below it fails only on
+//! a lost fast path. (The other suites run LS on the same candidates on
+//! both sides, so their ratios are scheduler noise around 1.) The gated
+//! suite is measured best-of-3 (minimum wall time of three identical
+//! passes per side); results are asserted equal on every repeat.
 //!
 //! The **baseline** reproduces the pre-optimization engine faithfully: a
 //! literal Fig. 3 sweep from the processor lower bound upward, one full
@@ -62,7 +66,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
-/// Repeats for the gated `minprocs_sizing` suite (best-of-N wall time).
+/// Repeats for the gated `admission_fits` suite (best-of-N wall time).
 const GATED_REPEATS: usize = 3;
 
 /// Fixed cluster sizes of the `ls_kernel` suite's wide rows, where a
@@ -120,8 +124,8 @@ struct BaselineRun {
 
 #[derive(Serialize)]
 struct EngineRun {
-    /// Always 1: the engine runs on the calling thread. Kept so the
-    /// `--gate-minprocs` gate and earlier reports read the same row.
+    /// Always 1: the engine runs on the calling thread. Kept so earlier
+    /// reports read the same row.
     threads: usize,
     wall_nanos: u64,
     ls_runs: u64,
@@ -194,6 +198,23 @@ fn policy_name(policy: PriorityPolicy) -> &'static str {
         PriorityPolicy::CriticalPathFirst => "cpf",
         PriorityPolicy::LongestWcetFirst => "lwf",
     }
+}
+
+/// Runs `pass` [`GATED_REPEATS`] times and returns its minimum wall time
+/// and its result, asserted equal on every repeat.
+fn best_of<T: PartialEq + std::fmt::Debug>(mut pass: impl FnMut() -> T) -> (u64, T) {
+    let mut best_wall = u64::MAX;
+    let mut first: Option<T> = None;
+    for _ in 0..GATED_REPEATS {
+        let start = Instant::now();
+        let result = pass();
+        best_wall = best_wall.min(nanos_since(start));
+        match &first {
+            Some(first) => assert_eq!(&result, first, "every repeat must agree"),
+            None => first = Some(result),
+        }
+    }
+    (best_wall, first.expect("GATED_REPEATS is positive"))
 }
 
 /// The engine row of a suite: its wall time and probe counters against
@@ -322,55 +343,30 @@ fn fedcons_systems(count: usize, seed: u64) -> Vec<TaskSystem> {
 /// the priority ranks for every candidate it visits.
 fn suite_minprocs_sizing(tasks: &[DagTask], policy: PriorityPolicy) -> Suite {
     let available = 64u32;
-    // This suite feeds the `--gate-minprocs` regression gate, so both
-    // sides are measured best-of-N: N identical passes, minimum wall
-    // time, results asserted equal on every repeat.
-    let mut baseline_sizes: Vec<Option<u32>> = Vec::new();
     let mut baseline_runs = 0u64;
-    let mut baseline_wall = u64::MAX;
-    for repeat in 0..GATED_REPEATS {
-        let mut runs = 0u64;
-        let start = Instant::now();
-        let sizes: Vec<Option<u32>> = tasks
-            .iter()
-            .map(|t| naive_min_procs(t, available, policy, &mut runs))
-            .collect();
-        let wall = nanos_since(start);
-        baseline_wall = baseline_wall.min(wall);
-        if repeat == 0 {
-            baseline_sizes = sizes;
-            baseline_runs = runs;
-        } else {
-            assert_eq!(sizes, baseline_sizes, "baseline must be deterministic");
-            assert_eq!(runs, baseline_runs, "baseline must be deterministic");
-        }
-    }
+    let start = Instant::now();
+    let baseline_sizes: Vec<Option<u32>> = tasks
+        .iter()
+        .map(|t| naive_min_procs(t, available, policy, &mut baseline_runs))
+        .collect();
     let baseline = BaselineRun {
-        wall_nanos: baseline_wall,
+        wall_nanos: nanos_since(start),
         ls_runs: baseline_runs,
     };
 
-    let mut best_wall = u64::MAX;
-    let mut best_probe = AnalysisProbe::default();
-    for _ in 0..GATED_REPEATS {
-        let mut probe = AnalysisProbe::default();
-        let start = Instant::now();
-        let sizes: Vec<Option<u32>> = tasks
-            .iter()
-            .map(|t| min_procs_probed(t, available, policy, &mut probe).map(|r| r.processors))
-            .collect();
-        let wall = nanos_since(start);
-        assert_eq!(sizes, baseline_sizes, "engine sizing must match baseline");
-        assert_eq!(
-            probe.ls_runs, baseline.ls_runs,
-            "the engine runs LS on exactly the literal sweep's candidates"
-        );
-        if wall < best_wall {
-            best_wall = wall;
-            best_probe = probe;
-        }
-    }
-    let engine = vec![engine_run(&baseline, best_wall, &best_probe)];
+    let mut probe = AnalysisProbe::default();
+    let start = Instant::now();
+    let sizes: Vec<Option<u32>> = tasks
+        .iter()
+        .map(|t| min_procs_probed(t, available, policy, &mut probe).map(|r| r.processors))
+        .collect();
+    let wall_nanos = nanos_since(start);
+    assert_eq!(sizes, baseline_sizes, "engine sizing must match baseline");
+    assert_eq!(
+        probe.ls_runs, baseline.ls_runs,
+        "the engine runs LS on exactly the literal sweep's candidates"
+    );
+    let engine = vec![engine_run(&baseline, wall_nanos, &probe)];
 
     Suite {
         workload: "minprocs_sizing",
@@ -385,26 +381,31 @@ fn suite_minprocs_sizing(tasks: &[DagTask], policy: PriorityPolicy) -> Suite {
 /// left?" — the decision the admission server and every speed search ask.
 /// With headroom available, the Graham upper-bound certificate settles
 /// most queries with zero LS runs, while the baseline must sweep from the
-/// lower bound to the first fitting candidate.
+/// lower bound to the first fitting candidate. This suite feeds the
+/// `--gate-admission-fits` regression gate, so both sides are measured
+/// best-of-N.
 fn suite_admission_fits(tasks: &[DagTask], available: u32, policy: PriorityPolicy) -> Suite {
-    let mut baseline_runs = 0u64;
-    let start = Instant::now();
-    let baseline_verdicts: Vec<bool> = tasks
-        .iter()
-        .map(|t| naive_min_procs(t, available, policy, &mut baseline_runs).is_some())
-        .collect();
+    let (baseline_wall, (baseline_verdicts, baseline_runs)) = best_of(|| {
+        let mut runs = 0u64;
+        let verdicts: Vec<bool> = tasks
+            .iter()
+            .map(|t| naive_min_procs(t, available, policy, &mut runs).is_some())
+            .collect();
+        (verdicts, runs)
+    });
     let baseline = BaselineRun {
-        wall_nanos: nanos_since(start),
+        wall_nanos: baseline_wall,
         ls_runs: baseline_runs,
     };
 
     let mut probe = AnalysisProbe::default();
-    let start = Instant::now();
-    let verdicts: Vec<bool> = tasks
-        .iter()
-        .map(|t| min_procs_fits_probed(t, available, policy, &mut probe))
-        .collect();
-    let wall_nanos = nanos_since(start);
+    let (wall_nanos, verdicts) = best_of(|| {
+        probe = AnalysisProbe::default();
+        tasks
+            .iter()
+            .map(|t| min_procs_fits_probed(t, available, policy, &mut probe))
+            .collect::<Vec<bool>>()
+    });
     assert_eq!(
         verdicts, baseline_verdicts,
         "engine verdicts must match baseline"
@@ -702,7 +703,7 @@ fn suite_partition_first_fit(residents: usize, candidates: usize, passes: u32) -
 fn main() -> ExitCode {
     let mut quick = false;
     let mut out = String::from("BENCH_analysis.json");
-    let mut gate_minprocs: Option<f64> = None;
+    let mut gate_admission_fits: Option<f64> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -714,17 +715,17 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--gate-minprocs" => match args.next().map(|s| s.parse::<f64>()) {
-                Some(Ok(ratio)) => gate_minprocs = Some(ratio),
+            "--gate-admission-fits" => match args.next().map(|s| s.parse::<f64>()) {
+                Some(Ok(ratio)) => gate_admission_fits = Some(ratio),
                 _ => {
-                    eprintln!("--gate-minprocs needs a speedup ratio, e.g. 1.0");
+                    eprintln!("--gate-admission-fits needs a speedup ratio, e.g. 50");
                     return ExitCode::FAILURE;
                 }
             },
             other => {
                 eprintln!(
                     "unknown argument {other:?} \
-                     (usage: analysis_bench [--quick] [--out FILE] [--gate-minprocs RATIO])"
+                     (usage: analysis_bench [--quick] [--out FILE] [--gate-admission-fits RATIO])"
                 );
                 return ExitCode::FAILURE;
             }
@@ -817,22 +818,22 @@ fn main() -> ExitCode {
 
     // The gate runs after the report is written, so a failing run still
     // leaves the numbers on disk for inspection.
-    if let Some(threshold) = gate_minprocs {
+    if let Some(threshold) = gate_admission_fits {
         let measured = report
             .suites
             .iter()
-            .find(|s| s.workload == "minprocs_sizing")
-            .and_then(|s| s.engine.iter().find(|run| run.threads == 1))
+            .find(|s| s.workload == "admission_fits")
+            .and_then(|s| s.engine.first())
             .map(|run| run.speedup_vs_baseline)
-            .expect("minprocs_sizing has a 1-thread engine run");
+            .expect("admission_fits has an engine run");
         if measured < threshold {
             eprintln!(
-                "REGRESSION: minprocs_sizing 1-thread speedup {measured:.2}x \
+                "REGRESSION: admission_fits speedup {measured:.2}x \
                  is below the gate of {threshold:.2}x"
             );
             return ExitCode::FAILURE;
         }
-        println!("gate ok: minprocs_sizing 1-thread speedup {measured:.2}x >= {threshold:.2}x");
+        println!("gate ok: admission_fits speedup {measured:.2}x >= {threshold:.2}x");
     }
     ExitCode::SUCCESS
 }

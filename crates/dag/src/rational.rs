@@ -17,6 +17,16 @@
 //! assert_eq!(density.to_f64(), 0.5625);
 //! ```
 //!
+//! # Reduction
+//!
+//! Every result is reduced by [`gcd`], Stein's binary algorithm. Reductions
+//! of `u64` task ticks have both magnitudes below 2^64, and so do those of
+//! the sums and products the analyses form over `fedsched-gen`'s
+//! grid-rounded periods; there the loop runs on `u64` registers. Once a
+//! sum's lcm denominator or a product passes 2^64, as arbitrary client
+//! ticks can make it, the same loop runs on `u128`. Both loops compute the
+//! same value, so which one ran never changes a result.
+//!
 //! # Overflow
 //!
 //! Comparisons are exact for *all* representable rationals (cross products
@@ -48,7 +58,10 @@ pub struct Rational {
 ///
 /// Stein's binary algorithm on the unsigned magnitudes: shifts and
 /// subtractions only, where Euclid's `%` costs a 128-bit division per
-/// step. The one magnitude `i128` cannot hold back, `gcd(i128::MIN, 0) =
+/// step. When both magnitudes are below 2^64, as every reduction of `u64`
+/// task ticks is until a sum's lcm denominator outgrows them, the loop
+/// runs on `u64` registers; wider operands take the same loop on `u128`.
+/// The one magnitude `i128` cannot hold back, `gcd(i128::MIN, 0) =
 /// gcd(i128::MIN, i128::MIN) = 2^127`, wraps to `i128::MIN`.
 #[must_use]
 pub const fn gcd(a: i128, b: i128) -> i128 {
@@ -60,6 +73,9 @@ pub const fn gcd(a: i128, b: i128) -> i128 {
     }
     if b == 0 || a == 1 {
         return a as i128;
+    }
+    if (a | b) >> 64 == 0 {
+        return gcd_u64(a as u64, b as u64) as i128;
     }
     let shift = (a | b).trailing_zeros();
     a >>= a.trailing_zeros();
@@ -75,6 +91,24 @@ pub const fn gcd(a: i128, b: i128) -> i128 {
         b -= a;
         if b == 0 {
             return (a << shift) as i128;
+        }
+    }
+}
+
+/// [`gcd`]'s loop on `u64` magnitudes, both nonzero.
+const fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            let t = a;
+            a = b;
+            b = t;
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
         }
     }
 }

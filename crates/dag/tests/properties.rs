@@ -226,14 +226,16 @@ fn euclid_gcd(mut a: i128, mut b: i128) -> i128 {
 }
 
 /// A `gcd` operand of either sign: zero, small, within 1000 of `u64::MAX`
-/// on either side, or anywhere up to `i128::MAX` in magnitude. `i128::MIN`
-/// is left out: the reference's `%` overflows on it.
+/// on either side, across the `u64` loop's width boundary in
+/// [2^63, 2^64 + 2^63], or anywhere up to `i128::MAX` in magnitude.
+/// `i128::MIN` is left out: the reference's `%` overflows on it.
 fn arb_gcd_operand() -> impl Strategy<Value = i128> {
     let near_u64_max = i128::from(u64::MAX);
     let magnitude = prop_oneof![
         Just(0i128),
         1i128..=1_000,
         (near_u64_max - 1_000)..=(near_u64_max + 1_000),
+        (1i128 << 63)..=((1i128 << 64) + (1 << 63)),
         1i128..=i128::MAX,
     ];
     (magnitude, any::<bool>()).prop_map(|(m, negative)| if negative { -m } else { m })
@@ -255,16 +257,36 @@ proptest! {
     }
 }
 
+/// Fixed pairs, width boundary first. Across the `u64` loop's width:
+/// both operands in [2^63, 2^64), where a loop through `i64` sees negative
+/// values; operands just past `u64::MAX`, which a wider selection would
+/// truncate; and shared factors of two at the boundary. A fast path that
+/// truncates to zero or wraps the sign can subtract forever, so the two
+/// pairs that such paths answer wrongly instead come first: `2^64 + 3`
+/// against 15 truncates to 3 and 15, and `2^64 − 2` against `2^64 − 4`
+/// reads as −2 and −4 in `i64`.
 #[test]
 fn binary_gcd_boundaries() {
     let max = i128::from(u64::MAX);
+    let half = 1i128 << 63;
+    let odd = 5_000_000_000_000_000_001;
     for (a, b) in [
+        (max + 4, 15),
+        (max - 1, max - 3),
+        (half + 1, max),
+        (half + 3, half + 9),
+        (-2 * odd, 3 * odd),
+        (max, max + 1),
+        (max, max + 2),
+        (half, 3 << 62),
+        (3 << 62, -(max + 1)),
+        (half, max + 1),
+        (max + 1, max + 1),
         (0, 0),
         (0, 7),
         (-7, 0),
         (1, max + 1),
         (-(max + 1), 1),
-        (max, max + 1),
         (max + 1, 1 << 100),
         (i128::MAX, i128::MAX),
         (i128::MAX, -i128::MAX),
