@@ -19,36 +19,58 @@
 //!
 //! # Reduction
 //!
-//! Every result is reduced by [`gcd`], Stein's binary algorithm. Reductions
-//! of `u64` task ticks have both magnitudes below 2^64, and so do those of
-//! the sums and products the analyses form over `fedsched-gen`'s
-//! grid-rounded periods; there the loop runs on `u64` registers. Once a
-//! sum's lcm denominator or a product passes 2^64, as arbitrary client
-//! ticks can make it, the same loop runs on `u128`. Both loops compute the
-//! same value, so which one ran never changes a result.
+//! Every result is in lowest terms with a positive denominator. That form
+//! is unique, so which of the two paths below computed a result never
+//! changes it.
+//!
+//! - **64-bit path.** [`Rational::new`] with both magnitudes below 2^64
+//!   divides by their gcd in `u64`. `+` and `×` with all four operand
+//!   magnitudes below 2^63 use Knuth's rules (TAOCP vol. 2, §4.5.1) for
+//!   reduced operands `a/b` and `c/d`:
+//!   - `×` cross-reduces by `g₁ = gcd(a, d)` and `g₂ = gcd(c, b)`, and
+//!     `(a/g₁)(c/g₂) / ((b/g₂)(d/g₁))` is then already reduced;
+//!   - `+` returns `(ad + cb)/(bd)` as it is when `g = gcd(b, d)` is 1, and
+//!     otherwise reduces `t = a(d/g) + c(b/g)` over `(b/g)·d` by
+//!     `gcd(t mod g, g)` alone.
+//!
+//!   Comparison with all four magnitudes below 2^64 compares two `u128`
+//!   cross products. Every gcd on this path is Stein's binary loop on `u64`
+//!   registers. Task ticks are `u64`, and the sums and products the
+//!   analyses form over `fedsched-gen`'s grid-rounded periods stay on it.
+//! - **`i128` path.** Past those bounds, as arbitrary client ticks can
+//!   go, `new` divides by [`gcd`] in `i128`, `+` adds over the lcm of the
+//!   denominators and `×` cross-reduces, both then reduced again by `new`,
+//!   and comparison multiplies in 256 bits. [`gcd`] itself still runs its
+//!   loop on `u64` while both magnitudes fit.
+//!
+//! Knuth's rules hold only for reduced operands with positive
+//! denominators. The fields are private and every constructor returns the
+//! reduced form, so every `Rational` is one.
 //!
 //! # Overflow
 //!
-//! Comparisons are exact for *all* representable rationals (cross products
-//! are evaluated in 256 bits), and addition uses least-common-multiple
-//! denominators to keep intermediates small. Arithmetic whose result
-//! genuinely exceeds `i128` panics in debug builds but wraps silently in
-//! release builds, which do not enable `overflow-checks`; task parameters
-//! in this workspace are `u64` ticks and generated periods are
-//! grid-rounded (see `fedsched-gen`), which keeps every quantity the
-//! analyses sum far inside that range.
+//! The 64-bit path cannot overflow. `new` divides values below 2^64, and
+//! comparison multiplies two of them, which stays below 2^128 in `u128`.
+//! `+` and `×` take magnitudes below 2^63: each product of two stays below
+//! 2^126 and a sum of two such products below 2^127, inside `i128`.
+//!
+//! Comparisons are exact for *all* representable rationals. The `i128`
+//! path is unchanged: arithmetic whose result genuinely exceeds `i128`
+//! panics in debug builds but wraps silently in release builds, which do
+//! not enable `overflow-checks` (ROADMAP.md, "Exact arithmetic that cannot
+//! wrap"). Task parameters in this workspace are `u64` ticks and generated
+//! periods are grid-rounded (see `fedsched-gen`), which keeps every
+//! quantity the analyses sum far inside that range.
 
 use core::cmp::Ordering;
 use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, Neg, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::Duration;
 
 /// An exact rational number `num / den`, always reduced, `den > 0`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rational {
     num: i128,
     den: i128,
@@ -113,6 +135,37 @@ const fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
     }
 }
 
+/// [`gcd`] on `u64` magnitudes: its zero and unit shortcuts, then
+/// [`gcd_u64`]'s loop. The 64-bit paths call this rather than [`gcd`],
+/// whose `i128` sign handling and width test made each Fig. 4 `fits`
+/// call about 10 % slower.
+const fn gcd_narrow(a: u64, b: u64) -> u64 {
+    if a == 0 || b == 1 {
+        return b;
+    }
+    if b == 0 || a == 1 {
+        return a;
+    }
+    gcd_u64(a, b)
+}
+
+/// The bitwise or of the four magnitudes of `x` and `y`: below `2^k`
+/// exactly when each of them is. A denominator is read as its bits, so a
+/// negative one, which only a wrap past `i128` leaves, reads as at least
+/// 2^127 and keeps the operation on the `i128` path.
+const fn magnitudes(x: Rational, y: Rational) -> u128 {
+    x.num.unsigned_abs() | x.den as u128 | y.num.unsigned_abs() | y.den as u128
+}
+
+/// `m` with the sign that `negative` asks for.
+const fn signed(m: i128, negative: bool) -> i128 {
+    if negative {
+        -m
+    } else {
+        m
+    }
+}
+
 impl Rational {
     /// Exactly zero.
     pub const ZERO: Rational = Rational { num: 0, den: 1 };
@@ -127,6 +180,16 @@ impl Rational {
     #[must_use]
     pub const fn new(num: i128, den: i128) -> Rational {
         assert!(den != 0, "rational with zero denominator");
+        let (n, d) = (num.unsigned_abs(), den.unsigned_abs());
+        if (n | d) >> 64 == 0 {
+            let (n, d) = (n as u64, d as u64);
+            // gcd(0, d) = d, so 0/den normalizes to 0/1 here too.
+            let g = gcd_narrow(n, d);
+            return Rational {
+                num: signed((n / g) as i128, (num < 0) != (den < 0)),
+                den: (d / g) as i128,
+            };
+        }
         let sign = if den < 0 { -1 } else { 1 };
         let g = gcd(num, den);
         // gcd(0, den) = |den|, so 0/den normalizes to 0/1.
@@ -278,10 +341,20 @@ impl Ord for Rational {
         // Denominators are positive, so cross-multiplication preserves
         // order. The products can exceed i128 for rationals with large
         // reduced denominators (e.g. long sums of utilizations), so compare
-        // through a full 256-bit multiply instead of trusting i128.
+        // through a full 256-bit multiply instead of trusting i128, unless
+        // all four magnitudes are below 2^64 and each product fits `u128`.
         match (self.num.signum(), other.num.signum()) {
             (a, b) if a != b => a.cmp(&b),
             (0, 0) => Ordering::Equal,
+            (sign, _) if magnitudes(*self, *other) >> 64 == 0 => {
+                let lhs = self.num.unsigned_abs() * other.den as u128;
+                let rhs = other.num.unsigned_abs() * self.den as u128;
+                if sign > 0 {
+                    lhs.cmp(&rhs)
+                } else {
+                    rhs.cmp(&lhs)
+                }
+            }
             (sign, _) => {
                 let lhs = wide_mul(self.num.unsigned_abs(), other.den.unsigned_abs());
                 let rhs = wide_mul(other.num.unsigned_abs(), self.den.unsigned_abs());
@@ -298,6 +371,25 @@ impl Ord for Rational {
 impl Add for Rational {
     type Output = Rational;
     fn add(self, rhs: Rational) -> Rational {
+        if magnitudes(self, rhs) >> 63 == 0 {
+            // Knuth, TAOCP vol. 2, §4.5.1: with g = gcd(b, d), a/b + c/d
+            // has the reduced form (ad + cb)/(bd) when g = 1, and otherwise
+            // t = a(d/g) + c(b/g) shares with bd/g only factors of g.
+            let (b, d) = (self.den as u64, rhs.den as u64);
+            let g = gcd_narrow(b, d);
+            if g == 1 {
+                return Rational {
+                    num: self.num * d as i128 + rhs.num * b as i128,
+                    den: b as i128 * d as i128,
+                };
+            }
+            let t = self.num * (d / g) as i128 + rhs.num * (b / g) as i128;
+            let g2 = gcd_narrow((t.unsigned_abs() % g as u128) as u64, g);
+            return Rational {
+                num: signed((t.unsigned_abs() / g2 as u128) as i128, t < 0),
+                den: (b / g) as i128 * (d / g2) as i128,
+            };
+        }
         // Least-common-multiple addition keeps intermediates as small as
         // possible (important when summing many task utilizations).
         let g = gcd(self.den, rhs.den);
@@ -323,6 +415,20 @@ impl Sub for Rational {
 impl Mul for Rational {
     type Output = Rational;
     fn mul(self, rhs: Rational) -> Rational {
+        if magnitudes(self, rhs) >> 63 == 0 {
+            // Both operands are reduced, so once cross-reduced the product
+            // is too (Knuth, TAOCP vol. 2, §4.5.1): no final gcd.
+            let (a, b) = (self.num.unsigned_abs() as u64, self.den as u64);
+            let (c, d) = (rhs.num.unsigned_abs() as u64, rhs.den as u64);
+            let (g1, g2) = (gcd_narrow(a, d), gcd_narrow(c, b));
+            return Rational {
+                num: signed(
+                    ((a / g1) as u128 * (c / g2) as u128) as i128,
+                    (self.num < 0) != (rhs.num < 0),
+                ),
+                den: ((b / g2) as u128 * (d / g1) as u128) as i128,
+            };
+        }
         // Cross-reduce before multiplying to keep intermediates small.
         let g1 = gcd(self.num, rhs.den);
         let g2 = gcd(rhs.num, self.den);
@@ -416,6 +522,13 @@ mod tests {
         assert_eq!(a * b, Rational::new(1, 6));
         assert_eq!(a / b, Rational::new(3, 2));
         assert_eq!(-a, Rational::new(-1, 2));
+        // Knuth's shortcuts: a sum over a shared denominator reduces by
+        // gcd(t mod g, g), and cross-reduced factors leave nothing to
+        // reduce.
+        let sixth = Rational::new(1, 6);
+        assert_eq!(sixth + sixth, Rational::new(1, 3));
+        assert_eq!(-sixth + sixth, Rational::ZERO);
+        assert_eq!(Rational::new(2, 3) * Rational::new(3, 4), a);
     }
 
     #[test]

@@ -296,6 +296,118 @@ fn binary_gcd_boundaries() {
     }
 }
 
+/// A `Rational` part's magnitude from one of four groups: small values;
+/// multiples of grid-like periods `m·2^k` (16 ≤ m < 32), so that
+/// denominators share factors; [2^62, 2^64], across the 64-bit paths'
+/// bounds; and above 2^64, near it or up to `i128::MAX`.
+fn arb_rational_magnitude() -> impl Strategy<Value = i128> {
+    prop_oneof![
+        1i128..=1_000,
+        arb_grid_multiple(),
+        (1i128 << 62)..=(1i128 << 64),
+        prop_oneof![
+            ((1i128 << 64) + 1)..=(1i128 << 66),
+            ((1i128 << 66) + 1)..=i128::MAX,
+        ],
+    ]
+}
+
+/// The first three groups of [`arb_rational_magnitude`] below 2^63, where
+/// the `i128` products and sums of the reduce-after reference cannot
+/// overflow.
+fn arb_narrow_magnitude() -> impl Strategy<Value = i128> {
+    prop_oneof![
+        1i128..=1_000,
+        arb_grid_multiple(),
+        (1i128 << 62)..(1i128 << 63),
+    ]
+}
+
+/// `n` times a grid-like period `m·2^k`, below 2^56.
+fn arb_grid_multiple() -> impl Strategy<Value = i128> {
+    (16i128..32, 0u32..=40, 1i128..=1_000).prop_map(|(m, k, n)| (m << k) * n)
+}
+
+/// A `(numerator, denominator)` pair of `magnitude`s: the numerator of
+/// either sign, zero one time in eight; the denominator positive.
+fn arb_fraction<S: Strategy<Value = i128>>(
+    magnitude: fn() -> S,
+) -> impl Strategy<Value = (i128, i128)> {
+    (magnitude(), magnitude(), any::<bool>(), 0u8..8).prop_map(|(n, d, negative, zero)| {
+        let n = if zero == 0 { 0 } else { n };
+        (if negative { -n } else { n }, d)
+    })
+}
+
+/// The reference `Rational::new`: divide by Euclid's gcd after the fact
+/// and move the sign to the numerator.
+fn reduced(num: i128, den: i128) -> (i128, i128) {
+    let g = euclid_gcd(num, den);
+    let sign = if den < 0 { -1 } else { 1 };
+    (sign * num / g, sign * den / g)
+}
+
+/// `(numer, denom)` of `r`, checked to be in lowest terms with a positive
+/// denominator.
+fn parts(r: Rational) -> (i128, i128) {
+    assert!(r.denom() > 0, "{r:?} has a non-positive denominator");
+    assert_eq!(euclid_gcd(r.numer(), r.denom()), 1, "{r:?} is not reduced");
+    (r.numer(), r.denom())
+}
+
+proptest! {
+    /// `Rational::new` over every group, the 64-bit path's width boundary
+    /// and the `i128` path beyond it included, matches reduce-after.
+    #[test]
+    fn rational_new_matches_reduce_after(
+        (num, den) in arb_fraction(arb_rational_magnitude),
+        den_negative in any::<bool>(),
+    ) {
+        let den = if den_negative { -den } else { den };
+        prop_assert_eq!(parts(Rational::new(num, den)), reduced(num, den));
+    }
+
+    /// `+`, `−`, `×` and `cmp` below 2^63, where `+` and `×` take Knuth's
+    /// shortcuts, match the reference forming the plain `i128` sum or
+    /// product and reducing it after.
+    #[test]
+    fn rational_ops_match_reduce_after(
+        (a, b) in arb_fraction(arb_narrow_magnitude),
+        (c, d) in arb_fraction(arb_narrow_magnitude),
+    ) {
+        let (x, y) = (Rational::new(a, b), Rational::new(c, d));
+        let (a, b) = parts(x);
+        let (c, d) = parts(y);
+        prop_assert_eq!(parts(x + y), reduced(a * d + c * b, b * d));
+        prop_assert_eq!(parts(x - y), reduced(a * d - c * b, b * d));
+        prop_assert_eq!(parts(x * y), reduced(a * c, b * d));
+        prop_assert_eq!(parts(x + x), reduced(2 * a, b));
+        prop_assert_eq!(parts(x * x), reduced(a * a, b * b));
+        prop_assert_eq!(x.cmp(&y), (a * d).cmp(&(c * b)));
+    }
+}
+
+/// Pairs `x < y` of known order with magnitudes just below and just above
+/// 2^63, 2^64 and 2^65, and across each: `(B − 1)/(B + 1)` against
+/// `(B + 1)/(B − 3)` puts one cross product below `B²` and the other above
+/// it, so that at `B = 2^64` a comparison in `u128` would wrap one of them.
+#[test]
+fn rational_cmp_boundaries() {
+    for bound in [1i128 << 63, 1 << 64, 1 << 65] {
+        for (x, y) in [
+            ((bound - 1, bound - 2), (bound - 2, bound - 3)),
+            ((bound + 2, bound + 1), (bound + 1, bound)),
+            ((bound - 1, bound + 1), (bound + 1, bound - 3)),
+        ] {
+            let (x, y) = (Rational::new(x.0, x.1), Rational::new(y.0, y.1));
+            assert!(x < y, "{x:?} < {y:?}");
+            assert!(y > x, "{y:?} > {x:?}");
+            assert!(-y < -x, "{:?} < {:?}", -y, -x);
+            assert_eq!(x.cmp(&x), core::cmp::Ordering::Equal);
+        }
+    }
+}
+
 #[test]
 fn vertex_id_index_roundtrip() {
     for i in [0usize, 1, 7, 1000] {
