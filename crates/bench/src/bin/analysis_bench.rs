@@ -16,8 +16,9 @@
 //! hundreds of times above parity and a floor far below it fails only on
 //! a lost fast path. (The other suites run LS on the same candidates on
 //! both sides, so their ratios are scheduler noise around 1.) The gated
-//! suite is measured best-of-3 (minimum wall time of three identical
-//! passes per side); results are asserted equal on every repeat.
+//! suite and the `partition_first_fit` rows are measured best-of-3
+//! (minimum wall time of three identical passes per side); results are
+//! asserted equal on every repeat.
 //!
 //! The **baseline** reproduces the pre-optimization engine faithfully: a
 //! literal Fig. 3 sweep from the processor lower bound upward, one full
@@ -66,7 +67,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
-/// Repeats for the gated `admission_fits` suite (best-of-N wall time).
+/// Repeats for the gated `admission_fits` suite and the
+/// `partition_first_fit` rows (best-of-N wall time).
 const GATED_REPEATS: usize = 3;
 
 /// Fixed cluster sizes of the `ls_kernel` suite's wide rows, where a
@@ -616,7 +618,9 @@ fn literal_fits(resident: &[SequentialView], utilization: Rational, cand: &Seque
 /// first-fit for candidates due no earlier than any resident (the order
 /// Fig. 4 tests in). The engine is `SharedPool::first_fit_probed`; the
 /// baseline is [`literal_fits`] over the same pool. Placements and call
-/// counts are asserted equal before any timing.
+/// counts are asserted equal before any timing, and both sides are timed
+/// best-of-N, so one run's row does not read whatever the host load was
+/// during a single pass.
 fn suite_partition_first_fit(residents: usize, candidates: usize, passes: u32) -> FitsRun {
     let mut rng = StdRng::seed_from_u64(0xF164 + residents as u64);
     let mut pool = SharedPool::new(FIT_FILL.len(), PartitionConfig::default());
@@ -669,25 +673,27 @@ fn suite_partition_first_fit(residents: usize, candidates: usize, passes: u32) -
     );
 
     let calls = probe.fits_calls * u64::from(passes);
-    let start = Instant::now();
-    for _ in 0..passes {
-        for c in &cands {
-            black_box(
-                literal
-                    .iter()
-                    .position(|(views, u)| literal_fits(views, *u, c)),
-            );
+    let (baseline_wall, ()) = best_of(|| {
+        for _ in 0..passes {
+            for c in &cands {
+                black_box(
+                    literal
+                        .iter()
+                        .position(|(views, u)| literal_fits(views, *u, c)),
+                );
+            }
         }
-    }
-    let baseline_ns = nanos_since(start) as f64 / calls as f64;
+    });
+    let baseline_ns = baseline_wall as f64 / calls as f64;
     let mut scratch = AnalysisProbe::default();
-    let start = Instant::now();
-    for _ in 0..passes {
-        for c in &cands {
-            black_box(pool.first_fit_probed(black_box(c), &mut scratch));
+    let (engine_wall, ()) = best_of(|| {
+        for _ in 0..passes {
+            for c in &cands {
+                black_box(pool.first_fit_probed(black_box(c), &mut scratch));
+            }
         }
-    }
-    let engine_ns = nanos_since(start) as f64 / calls as f64;
+    });
+    let engine_ns = engine_wall as f64 / calls as f64;
 
     FitsRun {
         residents_per_processor: residents,

@@ -716,12 +716,8 @@ pub struct ServeOptions {
     /// Bind address (e.g. `127.0.0.1:7878`; port 0 picks a free port).
     pub addr: String,
     /// Acceptor-thread count; the dispatch pool answering requests runs
-    /// `max(workers, shards)` threads.
+    /// as many threads.
     pub workers: usize,
-    /// Shard count for the connection plane (`0` = one per available
-    /// core). Admission outcomes are byte-identical at any shard count;
-    /// sharding only changes how much of the plane runs concurrently.
-    pub shards: usize,
     /// Capacity bound of the `MINPROCS` template cache (`0` = unbounded).
     /// Part of the durable configuration identity: `recover`/`compact`
     /// must pass the same cap the serving process used.
@@ -757,7 +753,6 @@ impl Default for ServeOptions {
             exact_partition: false,
             addr: "127.0.0.1:7878".to_owned(),
             workers: 4,
-            shards: 0,
             template_cache_cap: 0,
             telemetry_events: 4096,
             limits: fedsched_service::ConnectionLimits::default(),
@@ -781,7 +776,6 @@ pub fn start_server(opts: &ServeOptions) -> Result<fedsched_service::ServerHandl
     let config = fedsched_service::ServerConfig {
         addr: opts.addr.clone(),
         workers: opts.workers,
-        shards: opts.shards,
         admission: admission_config(opts),
         limits: opts.limits,
         durability: opts.data_dir.as_ref().map(|dir| store_config(opts, dir)),
@@ -984,13 +978,7 @@ pub fn serve_banner(opts: &ServeOptions, handle: &fedsched_service::ServerHandle
     );
     let _ = writeln!(
         out,
-        "  admission plane: {} shard(s){} sharing {} connection permit(s), template-cache cap {}",
-        handle.shard_stats().len(),
-        if opts.shards == 0 {
-            " (auto: one per core)"
-        } else {
-            ""
-        },
+        "  admission plane: one reactor sharing {} connection permit(s), template-cache cap {}",
         opts.limits.max_connections.max(1),
         if opts.template_cache_cap == 0 {
             "unbounded".to_owned()
@@ -1454,7 +1442,7 @@ USAGE:
   fedsched import-stg <graph.stg> --deadline D --period T   # STG -> system JSON
   fedsched dot      <system.json> [--task K]           # Graphviz to stdout
   fedsched serve    -m M [--policy list|cpf|lwf] [--exact-partition]
-                    [--addr HOST:PORT] [--workers N] [--shards N]
+                    [--addr HOST:PORT] [--workers N]
                     [--template-cache-cap N] [--telemetry N]
                     [--io-timeout-ms MS] [--idle-strikes N] [--max-conns N]
                     [--max-frame-bytes N] [--max-requests N] [--slow-ms MS]
@@ -1462,10 +1450,8 @@ USAGE:
                     [--snapshot-records N] [--snapshot-bytes N]
                     [--handoff-from DIR]
                     # admission server; GET /metrics on the same port;
-                    # --shards 0 (default) runs one connection shard per
-                    # core; decisions are byte-identical at any count;
-                    # each shard multiplexes its connections on one
-                    # epoll loop;
+                    # one epoll loop multiplexes every connection;
+                    # --workers N sets the acceptor and dispatch threads;
                     # --template-cache-cap bounds the MINPROCS cache
                     # (0 = unbounded) and is part of the durable config;
                     # --io-timeout-ms 0 disables connection deadlines;
@@ -1848,7 +1834,6 @@ mod tests {
         let opts = ServeOptions {
             addr: "127.0.0.1:0".into(),
             workers: 1,
-            shards: 4,
             template_cache_cap: 10,
             ..ServeOptions::default()
         };
@@ -1856,7 +1841,7 @@ mod tests {
         let banner = serve_banner(&opts, &handle);
         handle.shutdown();
         assert!(
-            banner.contains("4 shard(s) sharing 256 connection permit(s)"),
+            banner.contains("one reactor sharing 256 connection permit(s)"),
             "banner: {banner}"
         );
         assert!(

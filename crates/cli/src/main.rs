@@ -46,7 +46,6 @@ fn run() -> Result<String, CliError> {
                 | "--period"
                 | "--addr"
                 | "--workers"
-                | "--shards"
                 | "--template-cache-cap"
                 | "--token"
                 | "--telemetry"
@@ -142,7 +141,6 @@ fn run() -> Result<String, CliError> {
             "--exact-partition",
             "--addr",
             "--workers",
-            "--shards",
             "--template-cache-cap",
             "--telemetry",
             "--io-timeout-ms",
@@ -377,9 +375,6 @@ fn run() -> Result<String, CliError> {
             }
             if let Some(Some(v)) = flag("--workers") {
                 opts.workers = parse_num("--workers", v)? as usize;
-            }
-            if let Some(Some(v)) = flag("--shards") {
-                opts.shards = parse_num("--shards", v)? as usize;
             }
             if let Some(Some(v)) = flag("--template-cache-cap") {
                 opts.template_cache_cap = parse_num("--template-cache-cap", v)? as usize;

@@ -28,11 +28,11 @@ fn task() -> DagTask {
     DagTask::sequential(Ticks::new(1), Ticks::new(4), Ticks::new(8)).expect("valid task")
 }
 
-/// Spawns `fedsched serve -m 8 --addr 127.0.0.1:0 --shards 4
+/// Spawns `fedsched serve -m 8 --addr 127.0.0.1:0 --workers 4
 /// --data-dir <dir>` and parses the bound address from the startup
-/// banner on stderr. Four shards exercise the sharded connection plane
-/// (and its WAL sequencer) under the crash, where recovery must still
-/// replay acknowledged decisions in ack order.
+/// banner on stderr. Four dispatch workers race their decisions into the
+/// WAL sequencer under the crash, where recovery must still replay
+/// acknowledged decisions in ack order.
 fn spawn_server(dir: &Path) -> (Child, String) {
     let mut child = Command::new(BIN)
         .args([
@@ -42,8 +42,6 @@ fn spawn_server(dir: &Path) -> (Child, String) {
             "--addr",
             "127.0.0.1:0",
             "--workers",
-            "2",
-            "--shards",
             "4",
             "--fsync",
             "every",

@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use fedsched_dag::task::DagTask;
 use fedsched_dag::time::Duration as Ticks;
-use fedsched_service::{Client, ClientConfig, Response, ShardStatsSnapshot};
+use fedsched_service::{Client, ClientConfig, Response};
 use serde::Serialize;
 
 /// How inter-arrival gaps are drawn.
@@ -279,11 +279,6 @@ pub struct SweepReport {
     /// Prometheus exposition (`None` when scraping was off).
     #[serde(skip_serializing_if = "Option::is_none")]
     pub metrics_validated: Option<bool>,
-    /// Post-sweep per-shard occupancy: how the server's connection plane
-    /// spread this sweep's connections across its shards. Empty when the
-    /// stats probe failed or the server predates sharding.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
-    pub shards: Vec<ShardOccupancy>,
     /// The connection-scaling ladder ridden after the rate sweep: fixed
     /// offered rate, growing connection counts, watching for the p99
     /// knee. `None` when the scaling sweep was not run.
@@ -366,10 +361,6 @@ pub struct ConnectionScalingReport {
     /// The largest connection count that stayed on the good side of the
     /// p99 knee (`None` when even the first rung kneed).
     pub max_connections_before_knee: Option<usize>,
-    /// Per-shard occupancy probed right after the top rung: how the
-    /// connection plane spread the widest rung across its shards.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
-    pub top_rung_shards: Vec<ShardOccupancy>,
 }
 
 /// Walks the whole connection ladder at a fixed offered rate and reports
@@ -410,45 +401,6 @@ pub fn run_connection_scaling(addr: &str, config: &ScalingConfig) -> ConnectionS
         fixed_rps: config.fixed_rps,
         rungs,
         max_connections_before_knee,
-        top_rung_shards: probe_shard_occupancy(addr),
-    }
-}
-
-/// One shard's share of the sweep, distilled from the server's
-/// [`ShardStatsSnapshot`] after the last rung.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct ShardOccupancy {
-    /// The shard's index, `0..shards`.
-    pub shard: u64,
-    /// Connections homed on it over the server's lifetime.
-    pub connections_served: u64,
-}
-
-impl From<&ShardStatsSnapshot> for ShardOccupancy {
-    fn from(s: &ShardStatsSnapshot) -> ShardOccupancy {
-        ShardOccupancy {
-            shard: s.shard,
-            connections_served: s.connections_served,
-        }
-    }
-}
-
-/// Fetches the server's per-shard occupancy via one `Stats` round trip.
-/// Best-effort: any failure reports an empty list rather than failing
-/// the sweep that already ran.
-fn probe_shard_occupancy(addr: &str) -> Vec<ShardOccupancy> {
-    let config = ClientConfig {
-        io_timeout: Some(Duration::from_secs(5)),
-        ..ClientConfig::default()
-    };
-    let Ok(mut client) = Client::connect_with(addr, config) else {
-        return Vec::new();
-    };
-    match client.stats() {
-        Ok(Response::Stats { snapshot }) => {
-            snapshot.shards.iter().map(ShardOccupancy::from).collect()
-        }
-        _ => Vec::new(),
     }
 }
 
@@ -815,7 +767,6 @@ pub fn run_sweep(addr: &str, config: &SweepConfig, quick: bool) -> SweepReport {
         steps,
         max_sustainable_rps,
         metrics_validated,
-        shards: probe_shard_occupancy(addr),
         connection_scaling: None,
     }
 }
@@ -895,12 +846,6 @@ pub fn render_report(report: &SweepReport) -> String {
             "mid-load /metrics exposition: {}",
             if validated { "valid" } else { "INVALID" }
         );
-    }
-    if !report.shards.is_empty() {
-        let _ = writeln!(out, "shard occupancy ({} shard(s)):", report.shards.len());
-        for s in &report.shards {
-            let _ = writeln!(out, "  shard {}: {} conn(s)", s.shard, s.connections_served);
-        }
     }
     if let Some(scaling) = &report.connection_scaling {
         let _ = writeln!(

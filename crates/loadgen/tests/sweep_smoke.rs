@@ -34,7 +34,6 @@ fn sweep_completes_requests_and_validates_metrics_under_load() {
     let handle = serve(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
-        shards: 1,
         admission: AdmissionConfig::new(8),
         limits: ConnectionLimits::default(),
         durability: None,
@@ -104,10 +103,6 @@ fn sweep_completes_requests_and_validates_metrics_under_load() {
         scaling.max_connections_before_knee,
         Some(4),
         "no knee at smoke scale: {scaling:?}"
-    );
-    assert!(
-        !scaling.top_rung_shards.is_empty(),
-        "the top-rung occupancy probe lands"
     );
     report.connection_scaling = Some(scaling);
 

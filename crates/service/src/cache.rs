@@ -17,8 +17,8 @@
 //! unreferenced victim to evict. The sweep is a pure function of the
 //! lookup/insert sequence, so two servers driven by the same decision
 //! sequence hold byte-identical caches regardless of wall time or thread
-//! interleaving; that is what lets WAL replay and servers at any shard
-//! count reproduce cache contents exactly.
+//! interleaving; that is what lets WAL replay, a TCP connection and an
+//! in-process session reproduce cache contents exactly.
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -17,8 +17,8 @@
 //!   expensive List-Scheduling search entirely;
 //! * [`protocol`] — newline-delimited JSON requests and responses;
 //! * [`server`] — acceptor threads sharing one `TcpListener`, one epoll
-//!   reactor per shard multiplexing the connections, a dispatch pool
-//!   running the request pipeline, in-process [`Session`]s on the same
+//!   reactor multiplexing the connections, a dispatch pool running the
+//!   request pipeline, in-process [`Session`]s on the same
 //!   pipeline, and the [`ConnectionLimits`] hardening knobs (IO
 //!   deadlines, frame caps, backpressure);
 //! * [`client`] — a blocking client speaking the same protocol, with
@@ -49,7 +49,6 @@
 //! let handle = serve(&ServerConfig {
 //!     addr: "127.0.0.1:0".into(),
 //!     workers: 2,
-//!     shards: 1,
 //!     admission: AdmissionConfig::new(4),
 //!     limits: ConnectionLimits::default(),
 //!     durability: None,
@@ -91,6 +90,6 @@ pub use server::{
 };
 pub use state::{AdmissionConfig, AdmissionState, Admitted, RejectReason, Removed, UnknownToken};
 pub use stats::{
-    render_prometheus, DurabilityStats, LatencyHistogram, RequestStage, ShardStatsSnapshot,
-    StageStats, Stats, StatsSnapshot, TransportStats,
+    render_prometheus, DurabilityStats, LatencyHistogram, ReactorStats, RequestStage, StageStats,
+    Stats, StatsSnapshot, TransportStats,
 };

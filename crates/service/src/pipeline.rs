@@ -14,7 +14,7 @@ use fedsched_telemetry::CounterKind;
 
 use crate::protocol::{write_message, Request, Response};
 use crate::server::{
-    bump, dispatch, lock, log_slow_request, serve_metrics_http, Shard, Shared, StageTimer,
+    bump, dispatch, lock, log_slow_request, serve_metrics_http, Shared, StageTimer,
 };
 use crate::stats::RequestStage;
 
@@ -126,7 +126,7 @@ pub(crate) struct Outcome {
     /// exhaustion, or the shutdown drain ended the connection.
     pub(crate) close: bool,
     /// This connection's `Shutdown` request flipped the shutdown flag;
-    /// the caller wakes the acceptors and reactors.
+    /// the caller wakes the acceptors and the reactor.
     pub(crate) triggered_shutdown: bool,
 }
 
@@ -135,7 +135,6 @@ impl Outcome {
     fn answer(
         &mut self,
         shared: &Shared,
-        shard: &Shard,
         response: &Response,
         mut timer: StageTimer,
         trace_id: Option<u64>,
@@ -143,7 +142,6 @@ impl Outcome {
         let _ = write_message(&mut self.bytes, response);
         timer.stamp(RequestStage::Serialize);
         shared.stages.record(&timer);
-        shard.stages.record(&timer);
         log_slow_request(&shared.limits, trace_id, &timer);
         self.served_delta += 1;
     }
@@ -156,8 +154,8 @@ impl Outcome {
     }
 }
 
-/// The request loop: answers `frames` in order for a connection homed on
-/// `shard` that had answered `served` requests before them. `first`
+/// The request loop: answers `frames` in order for a connection that had
+/// answered `served` requests before them. `first`
 /// carries the first frame's measured idle-wait and frame-read
 /// intervals; later frames were already buffered.
 ///
@@ -166,7 +164,6 @@ impl Outcome {
 /// else, whatever transport carried the bytes.
 pub(crate) fn process_lines(
     shared: &Shared,
-    shard: &Shard,
     frames: &Frames,
     served: u64,
     first: StageTimer,
@@ -214,8 +211,8 @@ pub(crate) fn process_lines(
                     Request::Admit { trace_id, .. } => *trace_id,
                     _ => None,
                 };
-                let response = dispatch(request, shared, shard, &mut timer);
-                out.answer(shared, shard, &response, timer, trace_id);
+                let response = dispatch(request, shared, &mut timer);
+                out.answer(shared, &response, timer, trace_id);
                 if stop {
                     out.close = true;
                     out.triggered_shutdown = true;
@@ -237,14 +234,12 @@ pub(crate) fn process_lines(
 ///
 /// Bytes handed to [`Session::send`] go through the same frame decoder
 /// and request loop as a socket's, under the same limits, counters, and
-/// WAL — only the socket is missing. Like an accepted connection, a
-/// session is homed on a shard round-robin; unlike one, it holds no
-/// connection permit and never times out, so it is not counted in
-/// `connections_served`.
+/// WAL — only the socket is missing. Unlike an accepted connection, a
+/// session holds no connection permit and never times out, so it is not
+/// counted in `connections_served`.
 #[derive(Debug)]
 pub struct Session<'a> {
     shared: &'a Shared,
-    shard: usize,
     pending: Vec<u8>,
     served: u64,
     closed: bool,
@@ -254,7 +249,6 @@ impl<'a> Session<'a> {
     pub(crate) fn new(shared: &'a Shared) -> Session<'a> {
         Session {
             shared,
-            shard: shared.next_home(),
             pending: Vec::new(),
             served: 0,
             closed: false,
@@ -276,8 +270,7 @@ impl<'a> Session<'a> {
         if frames.is_empty() {
             return Vec::new();
         }
-        let shard = &self.shared.shards[self.shard];
-        let outcome = process_lines(self.shared, shard, &frames, self.served, buffered_timer());
+        let outcome = process_lines(self.shared, &frames, self.served, buffered_timer());
         self.served += outcome.served_delta;
         self.closed = outcome.close;
         if outcome.triggered_shutdown {

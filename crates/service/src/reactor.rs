@@ -1,6 +1,5 @@
-//! The per-shard epoll reactor: one nonblocking event loop per shard
-//! multiplexing every connection homed there — the server's only
-//! connection plane.
+//! The epoll reactor: one nonblocking event loop multiplexing every
+//! connection — the server's only connection plane.
 //!
 //! # Division of labour
 //!
@@ -47,7 +46,7 @@ use fedsched_telemetry::CounterKind;
 
 use crate::pipeline::{decode_frames, Frames, Outcome};
 use crate::protocol::{write_message, Response};
-use crate::server::{bump, lock, Permit, Shard, Shared, StageTimer};
+use crate::server::{bump, lock, Permit, Shared, StageTimer};
 use crate::stats::RequestStage;
 
 /// The eventfd's registration token; connection tokens are slab indices
@@ -67,9 +66,7 @@ const READ_CHUNK: usize = 8 * 1024;
 /// One connection's decoded frames, dispatched off the event loop.
 #[derive(Debug)]
 pub(crate) struct Job {
-    /// Home shard (selects the reactor to answer to).
-    pub(crate) shard: usize,
-    /// Slab token of the connection on that reactor.
+    /// Slab token of the connection on the reactor.
     pub(crate) token: usize,
     /// The frames to answer, in arrival order.
     pub(crate) frames: Frames,
@@ -88,8 +85,8 @@ enum Inbound {
     Outcome(usize, Outcome),
 }
 
-/// The cross-thread half of one shard's reactor: a mailbox plus the
-/// eventfd that wakes the loop when mail arrives.
+/// The cross-thread half of the reactor: a mailbox plus the eventfd that
+/// wakes the loop when mail arrives.
 #[derive(Debug)]
 pub(crate) struct ReactorShared {
     inbox: Mutex<Vec<Inbound>>,
@@ -145,7 +142,7 @@ impl ReactorShared {
     }
 }
 
-/// The queue between the reactors and the dispatch pool. A plain
+/// The queue between the reactor and the dispatch pool. A plain
 /// `VecDeque` under a mutex with a condvar — *not* a channel whose
 /// receiver is itself a lock, so any number of workers pop concurrently.
 #[derive(Debug)]
@@ -304,23 +301,20 @@ impl TimerWheel {
     }
 }
 
-/// One shard's event loop. Spawned by `serve` as `fedsched-reactor-N`.
-pub(crate) fn reactor_loop(shared: &Shared, shard_idx: usize) {
-    match Reactor::new(shared, shard_idx) {
+/// The event loop. Spawned by `serve` as `fedsched-reactor`.
+pub(crate) fn reactor_loop(shared: &Shared) {
+    match Reactor::new(shared) {
         Ok(mut reactor) => {
             if let Err(e) = reactor.run() {
-                eprintln!("fedsched-reactor-error shard={shard_idx}: {e}");
+                eprintln!("fedsched-reactor-error: {e}");
             }
         }
-        Err(e) => eprintln!("fedsched-reactor-error shard={shard_idx}: failed to start: {e}"),
+        Err(e) => eprintln!("fedsched-reactor-error: failed to start: {e}"),
     }
 }
 
 struct Reactor<'a> {
-    shard_idx: usize,
     shared: &'a Shared,
-    /// This shard's mailbox, `&shared.reactors[shard_idx]`.
-    rs: &'a ReactorShared,
     poller: Poller,
     conns: Vec<Option<Conn>>,
     /// Bumped when a slot is freed, invalidating stale wheel entries.
@@ -331,18 +325,19 @@ struct Reactor<'a> {
 }
 
 impl<'a> Reactor<'a> {
-    fn new(shared: &'a Shared, shard_idx: usize) -> io::Result<Reactor<'a>> {
-        let rs = &shared.reactors[shard_idx];
+    fn new(shared: &'a Shared) -> io::Result<Reactor<'a>> {
         let poller = Poller::new()?;
-        poller.add(rs.waker.as_raw_fd(), WAKER_TOKEN, Interest::READABLE)?;
+        poller.add(
+            shared.reactor.waker.as_raw_fd(),
+            WAKER_TOKEN,
+            Interest::READABLE,
+        )?;
         let wheel = shared
             .limits
             .io_timeout
             .map(|t| TimerWheel::new(t, Instant::now()));
         Ok(Reactor {
-            shard_idx,
             shared,
-            rs,
             poller,
             conns: Vec::new(),
             slot_gen: Vec::new(),
@@ -350,10 +345,6 @@ impl<'a> Reactor<'a> {
             active: 0,
             wheel,
         })
-    }
-
-    fn shard(&self) -> &Shard {
-        &self.shared.shards[self.shard_idx]
     }
 
     fn run(&mut self) -> io::Result<()> {
@@ -368,9 +359,9 @@ impl<'a> Reactor<'a> {
             };
             let n = self.poller.wait(&mut events, timeout)?;
             if n > 0 {
-                bump(&self.shard().reactor.wakeups);
-                self.shard()
-                    .reactor
+                bump(&self.shared.reactor_counters.wakeups);
+                self.shared
+                    .reactor_counters
                     .ready_events
                     .fetch_add(n as u64, Ordering::Relaxed);
             }
@@ -383,12 +374,12 @@ impl<'a> Reactor<'a> {
                 self.handle_event(event.token as usize, event.readable, event.writable);
             }
             if wake_seen {
-                self.rs.waker.drain();
+                self.shared.reactor.waker.drain();
             }
             // Mail is processed after the event batch so a slot freed by
             // an event is never reused while the batch still references
             // its old occupant.
-            for mail in self.rs.take_inbox() {
+            for mail in self.shared.reactor.take_inbox() {
                 match mail {
                     Inbound::NewConn(stream, permit) => self.register(stream, permit),
                     Inbound::Outcome(token, outcome) => self.apply_outcome(token, outcome),
@@ -404,7 +395,7 @@ impl<'a> Reactor<'a> {
                     self.expire(token, gen, now);
                 }
             }
-            if self.rs.force.load(Ordering::Acquire) {
+            if self.shared.reactor.force.load(Ordering::Acquire) {
                 let tokens: Vec<usize> = self.live_tokens();
                 for token in tokens {
                     self.close(token);
@@ -483,8 +474,8 @@ impl<'a> Reactor<'a> {
             in_wheel: false,
         });
         self.active += 1;
-        self.shard()
-            .reactor
+        self.shared
+            .reactor_counters
             .registered_fds
             .fetch_add(1, Ordering::Relaxed);
         self.arm_deadline(token, Instant::now());
@@ -642,12 +633,11 @@ impl<'a> Reactor<'a> {
         // Uncounted before the job is queued, so a `Stats` answer rendered
         // for this very request already excludes this connection.
         let (served, timer) = (conn.served, conn.timer);
-        self.shard()
-            .reactor
+        self.shared
+            .reactor_counters
             .registered_fds
             .fetch_sub(1, Ordering::Relaxed);
         self.shared.jobs.push(Job {
-            shard: self.shard_idx,
             token,
             frames,
             served,
@@ -783,8 +773,8 @@ impl<'a> Reactor<'a> {
         let result = if registered {
             self.poller.modify(fd, token as u64, interest)
         } else {
-            self.shard()
-                .reactor
+            self.shared
+                .reactor_counters
                 .registered_fds
                 .fetch_add(1, Ordering::Relaxed);
             self.poller.add(fd, token as u64, interest)
@@ -803,8 +793,8 @@ impl<'a> Reactor<'a> {
         };
         if conn.registered {
             let _ = self.poller.delete(conn.stream.as_raw_fd());
-            self.shard()
-                .reactor
+            self.shared
+                .reactor_counters
                 .registered_fds
                 .fetch_sub(1, Ordering::Relaxed);
         }
@@ -836,7 +826,6 @@ mod tests {
         };
         for token in 0..3 {
             queue.push(Job {
-                shard: 0,
                 token,
                 frames: Frames::default(),
                 served: 0,

@@ -1,39 +1,38 @@
-//! The admission server: acceptor threads sharing one `TcpListener`, a
-//! **shard-per-core connection plane** with one epoll reactor per shard,
-//! a dispatch pool answering requests, and one mutex-protected
-//! [`AdmissionState`] — the authoritative admission ledger.
+//! The admission server: acceptor threads sharing one `TcpListener`, one
+//! epoll reactor multiplexing every connection, a dispatch pool answering
+//! requests, and one mutex-protected [`AdmissionState`] — the
+//! authoritative admission ledger.
 //!
 //! Each acceptor runs its own accept loop; the kernel hands every
 //! incoming connection to exactly one of them. The acceptor never serves
-//! a connection itself — it either hands the connection to a shard's
-//! reactor (if a permit is available under
-//! [`ConnectionLimits::max_connections`]) or answers a framed
-//! [`Response::Busy`] and closes. A slow or hostile client therefore pins
-//! at most one reactor slot and one permit, never an acceptor or a
-//! thread, and a well-formed client always gets *some* answer quickly: a
-//! served request or a fast `Busy`.
+//! a connection itself — it either hands the connection to the reactor
+//! (if a permit is available under [`ConnectionLimits::max_connections`])
+//! or answers a framed [`Response::Busy`] and closes. A slow or hostile
+//! client therefore pins at most one reactor slot and one permit, never
+//! an acceptor or a thread, and a well-formed client always gets *some*
+//! answer quickly: a served request or a fast `Busy`.
 //!
 //! Every request runs through one pipeline, whatever carries its bytes:
 //! one frame decoder and one request loop, fed socket bytes by the
-//! reactors and in-process bytes by a [`Session`]
+//! reactor and in-process bytes by a [`Session`]
 //! ([`ServerHandle::session`]), so a session answers a byte stream
 //! exactly as a TCP connection does.
 //!
-//! # The sharded connection plane
+//! # The connection plane
 //!
-//! With [`ServerConfig::shards`] set to `N` (default: one shard per
-//! available core), the epoll reactors and the per-stage histograms are
-//! partitioned `N` ways into shards:
+//! The server runs [`ServerConfig::workers`] acceptors, one reactor, a
+//! dispatch pool of `workers` threads and, with durability only, the WAL
+//! sequencer:
 //!
-//! * **One gate, round-robin homes** — every connection holds a permit
-//!   of one gate sized [`ConnectionLimits::max_connections`], whichever
-//!   shard it lands on, so `Busy` means exactly that `max_connections`
-//!   connections are live. The acceptor homes each admitted connection
-//!   on a shard round-robin.
-//! * **One reactor per shard** — a nonblocking event loop owns every
-//!   socket homed on the shard and decodes frames as bytes arrive;
-//!   decoded frames are answered off the loop by a small dispatch pool
-//!   and the responses handed back to the loop to write.
+//! * **One gate** — every connection holds a permit of one gate sized
+//!   [`ConnectionLimits::max_connections`], so `Busy` means exactly that
+//!   `max_connections` connections are live.
+//! * **One reactor** — a nonblocking event loop owns every socket and
+//!   decodes frames as bytes arrive; decoded frames are answered off the
+//!   loop by the dispatch pool and the responses handed back to the loop
+//!   to write. Every decision runs under the one ledger lock, so a second
+//!   reactor could not run two decisions at once; a per-core plane of
+//!   reactors measured no gain on any benchmarked workload.
 //! * **One dispatch per request** — every request, `Admit` included, is
 //!   answered by `dispatch` under one ledger acquisition. The ledger's
 //!   one [`TemplateCache`](crate::cache::TemplateCache) sizes a
@@ -43,16 +42,16 @@
 //! * **One WAL sequencer** — durable decisions are sequenced by a single
 //!   background thread: dispatch workers enqueue their log records *while
 //!   still holding the state lock* (so WAL order equals decision order,
-//!   with a monotonic sequence number and the deciding shard id attached
-//!   in-memory), then wait for the sequencer's acknowledgement off-lock.
-//!   No fsync ever executes under any admission lock, and the sequencer
-//!   doubles as the idle-WAL flusher: an interval fsync policy is paid
-//!   from its timer tick even when no request arrives.
+//!   with a monotonic sequence number attached in memory), then wait for
+//!   the sequencer's acknowledgement off-lock. No fsync ever executes
+//!   under any admission lock, and the sequencer doubles as the idle-WAL
+//!   flusher: an interval fsync policy is paid from its timer tick even
+//!   when no request arrives.
 //!
 //! Every served connection runs under the deadlines and caps of
 //! [`ConnectionLimits`]:
 //!
-//! * **IO deadlines** — each reactor keeps an `io_timeout` deadline per
+//! * **IO deadlines** — the reactor keeps an `io_timeout` deadline per
 //!   connection on a timer wheel. On an idle expiry it re-checks the
 //!   shutdown flag and keeps serving; after `idle_strikes` consecutive
 //!   expiries without a complete request it drops the connection
@@ -69,8 +68,8 @@
 //!
 //! Shutdown is drain-based: [`ServerHandle::shutdown`] (or a client
 //! `Shutdown` request) flips the shared flag and wakes the acceptors with
-//! one dummy connection each and every reactor through its eventfd;
-//! idle and mid-frame connections drain at once, and those being answered
+//! one dummy connection each and the reactor through its eventfd; idle
+//! and mid-frame connections drain at once, and those being answered
 //! finish writing first, so with `io_timeout` configured
 //! [`ServerHandle::join`] returns within one deadline period. Transport
 //! incidents (timeouts, oversized frames, busy rejections, drains) are
@@ -99,8 +98,8 @@ use crate::reactor::{reactor_loop, JobQueue, ReactorShared};
 use crate::recovery::{admit_records, recover_state, remove_record, ReplayReport};
 use crate::state::{AdmissionConfig, AdmissionState};
 use crate::stats::{
-    render_prometheus, DurabilityStats, LatencyHistogram, RequestStage, ShardStatsSnapshot,
-    StageStats, StatsSnapshot, TransportStats, LATENCY_BUCKETS, REQUEST_STAGES,
+    render_prometheus, DurabilityStats, LatencyHistogram, ReactorStats, RequestStage, StageStats,
+    StatsSnapshot, TransportStats, LATENCY_BUCKETS, REQUEST_STAGES,
 };
 
 /// Deadlines and caps protecting every served connection; see the module
@@ -162,7 +161,7 @@ impl ConnectionLimits {
     /// after the acceptors exit. With deadlines configured every parked
     /// connection times out within one `io_timeout`, so two periods plus
     /// slack bounds the drain; without deadlines the wait is a short
-    /// grace period only (the reactors then drop the stragglers).
+    /// grace period only (the reactor then drops the stragglers).
     fn drain_deadline(&self) -> Duration {
         match self.io_timeout {
             Some(t) => t.saturating_mul(2).saturating_add(Duration::from_secs(5)),
@@ -178,19 +177,10 @@ pub struct ServerConfig {
     /// it back from [`ServerHandle::local_addr`]).
     pub addr: String,
     /// Acceptor-thread count (clamped to at least 1), which also sizes
-    /// the dispatch pool answering requests: `max(workers, shards)`
-    /// threads. Connections are multiplexed on the shard reactors and
-    /// bounded by [`ConnectionLimits::max_connections`], not by this
-    /// count.
+    /// the dispatch pool answering requests: `workers` threads.
+    /// Connections are multiplexed on the one reactor and bounded by
+    /// [`ConnectionLimits::max_connections`], not by this count.
     pub workers: usize,
-    /// Shard count of the connection plane (`--shards`): the epoll
-    /// reactors and per-stage histograms are partitioned this many ways,
-    /// while the connection permits, the template cache and the ledger
-    /// stay one each (see the module docs). `0` means auto — one shard
-    /// per available core. Admission outcomes are byte-identical at any
-    /// shard count; this knob only sets how many event loops share the
-    /// connections.
-    pub shards: usize,
     /// The admission-control platform and FEDCONS knobs.
     pub admission: AdmissionConfig,
     /// Per-connection deadlines and caps.
@@ -475,7 +465,7 @@ impl Drop for Permit {
     }
 }
 
-/// Lock-free counters of one shard's epoll reactor, exposed as the
+/// Lock-free counters of the epoll reactor, exposed as the
 /// `fedsched_reactor_*` metric families.
 #[derive(Debug, Default)]
 pub(crate) struct ReactorCounters {
@@ -487,39 +477,14 @@ pub(crate) struct ReactorCounters {
     pub(crate) ready_events: AtomicU64,
 }
 
-/// One shard of the connection plane: its reactor's counters, its stage
-/// histograms, and the connections homed on it. See the module docs.
-#[derive(Debug)]
-pub(crate) struct Shard {
-    pub(crate) index: usize,
-    pub(crate) connections_served: AtomicU64,
-    pub(crate) reactor: ReactorCounters,
-    pub(crate) stages: StageCounters,
-}
-
-/// Point-in-time per-shard stats, merged into every [`StatsSnapshot`].
-fn shard_snapshots(shards: &[Shard]) -> Vec<ShardStatsSnapshot> {
-    shards
-        .iter()
-        .map(|s| ShardStatsSnapshot {
-            shard: s.index as u64,
-            connections_served: s.connections_served.load(Ordering::Relaxed),
-            reactor_registered_fds: s.reactor.registered_fds.load(Ordering::Relaxed),
-            reactor_wakeups: s.reactor.wakeups.load(Ordering::Relaxed),
-            reactor_ready_events: s.reactor.ready_events.load(Ordering::Relaxed),
-            stages: s.stages.snapshot(),
-        })
-        .collect()
-}
-
-/// The effective shard count: `0` is auto (one per available core).
-fn effective_shards(configured: usize) -> usize {
-    if configured == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        configured
+impl ReactorCounters {
+    /// A point-in-time copy, merged into every [`StatsSnapshot`].
+    fn snapshot(&self) -> ReactorStats {
+        ReactorStats {
+            registered_fds: self.registered_fds.load(Ordering::Relaxed),
+            wakeups: self.wakeups.load(Ordering::Relaxed),
+            ready_events: self.ready_events.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -558,13 +523,12 @@ impl AckSlot {
     }
 }
 
-/// One decision's log records in flight to the sequencer. The shard id
-/// and monotonic sequence number exist in memory only — the WAL wire
-/// format is unchanged, because the sequencer appends in sequence order
-/// and order *is* the replay contract.
+/// One decision's log records in flight to the sequencer. The monotonic
+/// sequence number exists in memory only — the WAL wire format is
+/// unchanged, because the sequencer appends in sequence order and order
+/// *is* the replay contract.
 #[derive(Debug)]
 struct SeqItem {
-    shard: usize,
     seq: u64,
     records: Vec<LogRecord>,
     ack: Arc<AckSlot>,
@@ -578,7 +542,7 @@ struct SeqQueue {
     busy: bool,
 }
 
-/// The single WAL sequencer shared by all shards. Producers enqueue
+/// The single WAL sequencer shared by the dispatch pool. Producers enqueue
 /// *while holding the state lock* — so queue order, sequence numbers,
 /// and decision order all coincide — and the sequencer thread appends,
 /// acknowledges, and maintains the WAL telemetry counters off every
@@ -618,12 +582,11 @@ impl WalSequencer {
     /// lock held — that is what serializes sequence numbers against
     /// decision order. Returns the slot to park on *after* releasing the
     /// state lock.
-    fn enqueue(&self, shard: usize, records: Vec<LogRecord>) -> Arc<AckSlot> {
+    fn enqueue(&self, records: Vec<LogRecord>) -> Arc<AckSlot> {
         let ack = Arc::new(AckSlot::default());
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let mut queue = self.lock_queue();
         queue.items.push_back(SeqItem {
-            shard,
             seq,
             records,
             ack: Arc::clone(&ack),
@@ -717,10 +680,7 @@ fn sequencer_loop(seq: &WalSequencer, journal: &Journal, state: &Mutex<Admission
 fn append_item(store: &mut DurableStore, item: &SeqItem, appended: &mut u64) -> io::Result<()> {
     for record in &item.records {
         if let Err(e) = store.append(record) {
-            eprintln!(
-                "fedsched-wal-append-error shard={} seq={}: {e}",
-                item.shard, item.seq
-            );
+            eprintln!("fedsched-wal-append-error seq={}: {e}", item.seq);
             return Err(e);
         }
         *appended += 1;
@@ -847,19 +807,19 @@ impl Journal {
     }
 }
 
-/// Everything the acceptors, reactors, dispatch workers, and sessions
+/// Everything the acceptors, the reactor, dispatch workers, and sessions
 /// share.
 #[derive(Debug)]
 pub(crate) struct Shared {
     pub(crate) state: Arc<Mutex<AdmissionState>>,
     pub(crate) shutdown: AtomicBool,
     pub(crate) counters: Arc<TransportCounters>,
-    /// The connection permits, one gate of `max_connections` for every
-    /// shard.
+    /// The connection permits: one gate of `max_connections`.
     gate: Arc<Gate>,
-    pub(crate) shards: Vec<Shard>,
-    /// One reactor mailbox per shard, indexed like `shards`.
-    pub(crate) reactors: Vec<ReactorShared>,
+    /// The reactor's mailbox and waker.
+    pub(crate) reactor: ReactorShared,
+    /// The reactor's `fedsched_reactor_*` counters.
+    pub(crate) reactor_counters: ReactorCounters,
     /// Decoded frames waiting for the dispatch pool.
     pub(crate) jobs: JobQueue,
     pub(crate) limits: ConnectionLimits,
@@ -869,26 +829,17 @@ pub(crate) struct Shared {
     pub(crate) journal: Option<Journal>,
     pub(crate) sequencer: Option<WalSequencer>,
     pub(crate) stages: Arc<StageCounters>,
-    /// Round-robin cursor assigning home shards to connections.
-    rr: AtomicU64,
 }
 
 impl Shared {
-    /// The next home shard, round-robin.
-    pub(crate) fn next_home(&self) -> usize {
-        (self.rr.fetch_add(1, Ordering::Relaxed) as usize) % self.shards.len()
-    }
-
     /// Wakes every acceptor parked in `accept` (one dummy connection
-    /// each) and every reactor parked in `epoll_wait`, so all of them
+    /// each) and the reactor parked in `epoll_wait`, so all of them
     /// observe the shutdown flag.
     pub(crate) fn wake_all(&self) {
         for _ in 0..self.workers {
             let _ = TcpStream::connect(self.local_addr);
         }
-        for reactor in &self.reactors {
-            reactor.wake();
-        }
+        self.reactor.wake();
     }
 }
 
@@ -898,7 +849,7 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     handoff_absorbed: Option<u64>,
     acceptors: Vec<JoinHandle<()>>,
-    reactors: Vec<JoinHandle<()>>,
+    reactor: JoinHandle<()>,
     dispatchers: Vec<JoinHandle<()>>,
     sequencer: Option<JoinHandle<()>>,
 }
@@ -946,11 +897,19 @@ impl ServerHandle {
         self.shared.stages.snapshot()
     }
 
-    /// A point-in-time copy of every shard's counters and stage
-    /// histograms — the same section `Stats` responses carry.
+    /// A point-in-time copy of the reactor's counters — the same section
+    /// `Stats` responses carry.
     #[must_use]
-    pub fn shard_stats(&self) -> Vec<ShardStatsSnapshot> {
-        shard_snapshots(&self.shared.shards)
+    pub fn reactor_stats(&self) -> ReactorStats {
+        self.shared.reactor_counters.snapshot()
+    }
+
+    /// [`Self::reactor_stats`] as a one-entry list, for callers that
+    /// still count the connection plane's reactors (the benchmark's run
+    /// record does). Deprecated: read [`Self::reactor_stats`].
+    #[must_use]
+    pub fn shard_stats(&self) -> Vec<ReactorStats> {
+        vec![self.reactor_stats()]
     }
 
     /// What boot recovery replayed from the data directory, or `None`
@@ -989,23 +948,17 @@ impl ServerHandle {
         for thread in self.acceptors {
             let _ = thread.join();
         }
-        // Reactors notice the shutdown flag on the next wakeup; poke
-        // them so parked (idle) connections drain immediately instead of
+        // The reactor notices the shutdown flag on its next wakeup; poke
+        // it so parked (idle) connections drain immediately instead of
         // waiting out a read deadline.
-        for reactor in &shared.reactors {
-            reactor.wake();
-        }
+        shared.reactor.wake();
         shared.gate.wait_drained(shared.limits.drain_deadline());
-        // Reactor threads exit once their last connection closes; the
+        // The reactor thread exits once its last connection closes; the
         // force flag covers a drain that timed out (the stragglers are
         // dropped unflushed).
-        for reactor in &shared.reactors {
-            reactor.force_exit();
-        }
-        for thread in self.reactors {
-            let _ = thread.join();
-        }
-        // With the reactors gone nothing enqueues jobs: close the queue,
+        shared.reactor.force_exit();
+        let _ = self.reactor.join();
+        // With the reactor gone nothing enqueues jobs: close the queue,
         // let the dispatch pool finish what is in flight, and join it.
         shared.jobs.close();
         for thread in self.dispatchers {
@@ -1029,7 +982,7 @@ impl ServerHandle {
     /// Initiates shutdown from the hosting process, joins the acceptors,
     /// and drains the connections. Terminates within roughly one
     /// `io_timeout` of the call even if clients hold connections open or
-    /// sit mid-request — their deadlines fire, the reactors observe the
+    /// sit mid-request — their deadlines fire, the reactor observes the
     /// flag, and the connections close.
     pub fn shutdown(self) {
         self.shared.shutdown.store(true, Ordering::Release);
@@ -1038,8 +991,8 @@ impl ServerHandle {
     }
 }
 
-/// Binds the listener and spawns the acceptors, the shard reactors, and
-/// the dispatch pool. With [`ServerConfig::durability`] set, the data
+/// Binds the listener and spawns the acceptors, the reactor, and the
+/// dispatch pool. With [`ServerConfig::durability`] set, the data
 /// directory is opened (and created if absent) first: the newest loadable
 /// snapshot is restored structurally and the WAL suffix is re-executed
 /// through the admission engine, so the server answers `stats` and new
@@ -1097,25 +1050,13 @@ pub fn serve(config: &ServerConfig) -> io::Result<ServerHandle> {
     let local_addr = listener.local_addr()?;
     let limits = config.limits.sanitized();
     let workers = config.workers.max(1);
-    let shard_count = effective_shards(config.shards);
-    let shards = (0..shard_count)
-        .map(|index| Shard {
-            index,
-            connections_served: AtomicU64::new(0),
-            reactor: ReactorCounters::default(),
-            stages: StageCounters::default(),
-        })
-        .collect();
-    let reactors = (0..shard_count)
-        .map(|_| ReactorShared::new())
-        .collect::<io::Result<_>>()?;
     let shared = Arc::new(Shared {
         state: Arc::new(Mutex::new(initial_state)),
         shutdown: AtomicBool::new(false),
         counters: Arc::new(TransportCounters::default()),
         gate: Arc::new(Gate::new(limits.max_connections)),
-        shards,
-        reactors,
+        reactor: ReactorShared::new()?,
+        reactor_counters: ReactorCounters::default(),
         jobs: JobQueue::new(),
         limits,
         listener,
@@ -1124,7 +1065,6 @@ pub fn serve(config: &ServerConfig) -> io::Result<ServerHandle> {
         sequencer: journal.as_ref().map(|_| WalSequencer::new()),
         journal,
         stages: Arc::new(StageCounters::default()),
-        rr: AtomicU64::new(0),
     });
     let sequencer = match shared.journal {
         Some(_) => Some(spawn(
@@ -1134,14 +1074,8 @@ pub fn serve(config: &ServerConfig) -> io::Result<ServerHandle> {
         )?),
         None => None,
     };
-    let reactors = (0..shard_count)
-        .map(|i| {
-            spawn(&shared, format!("fedsched-reactor-{i}"), move |s| {
-                reactor_loop(s, i)
-            })
-        })
-        .collect::<io::Result<_>>()?;
-    let dispatchers = (0..workers.max(shard_count))
+    let reactor = spawn(&shared, "fedsched-reactor".to_owned(), reactor_loop)?;
+    let dispatchers = (0..workers)
         .map(|i| spawn(&shared, format!("fedsched-dispatch-{i}"), dispatch_loop))
         .collect::<io::Result<_>>()?;
     let acceptors = (0..workers)
@@ -1151,7 +1085,7 @@ pub fn serve(config: &ServerConfig) -> io::Result<ServerHandle> {
         shared,
         handoff_absorbed,
         acceptors,
-        reactors,
+        reactor,
         dispatchers,
         sequencer,
     })
@@ -1177,13 +1111,12 @@ fn run_sequencer(shared: &Shared) {
 }
 
 /// One dispatch-pool worker: pops decoded frames, runs the request loop
-/// over them, and posts the outcome back to the owning reactor.
+/// over them, and posts the outcome back to the reactor.
 fn dispatch_loop(shared: &Shared) {
     while let Some(job) = shared.jobs.pop() {
-        let shard = &shared.shards[job.shard];
-        let outcome = process_lines(shared, shard, &job.frames, job.served, job.timer);
+        let outcome = process_lines(shared, &job.frames, job.served, job.timer);
         let triggered = outcome.triggered_shutdown;
-        shared.reactors[job.shard].push_outcome(job.token, outcome);
+        shared.reactor.push_outcome(job.token, outcome);
         if triggered {
             shared.wake_all();
         }
@@ -1230,9 +1163,9 @@ pub(crate) fn lock(state: &Mutex<AdmissionState>) -> MutexGuard<'_, AdmissionSta
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// One acceptor: hands each accepted socket that gets a permit to its
-/// round-robin home shard's reactor, or answers `Busy` when
-/// `max_connections` connections are already live.
+/// One acceptor: hands each accepted socket that gets a permit to the
+/// reactor, or answers `Busy` when `max_connections` connections are
+/// already live.
 fn acceptor_loop(shared: &Shared) {
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
@@ -1251,10 +1184,8 @@ fn acceptor_loop(shared: &Shared) {
             reject_busy(&stream);
             continue;
         };
-        let home = shared.next_home();
         bump(&shared.counters.connections_served);
-        bump(&shared.shards[home].connections_served);
-        shared.reactors[home].push_conn(stream, permit);
+        shared.reactor.push_conn(stream, permit);
     }
 }
 
@@ -1308,7 +1239,7 @@ fn merged_snapshot(shared: &Shared) -> StatsSnapshot {
     let mut snapshot = lock(&shared.state).snapshot();
     snapshot.transport = shared.counters.snapshot();
     snapshot.stages = shared.stages.snapshot();
-    snapshot.shards = shard_snapshots(&shared.shards);
+    snapshot.reactor = shared.reactor_counters.snapshot();
     if let Some(journal) = &shared.journal {
         let store = journal.lock();
         let wal = store.wal_stats();
@@ -1452,12 +1383,7 @@ fn await_ack(
 /// the dispatch interval to the cache-lookup / analysis / WAL-append
 /// stages of `timer` on the way out. Analysis runs under the state lock;
 /// the WAL append and fsync never do.
-pub(crate) fn dispatch(
-    request: Request,
-    shared: &Shared,
-    shard: &Shard,
-    timer: &mut StageTimer,
-) -> Response {
+pub(crate) fn dispatch(request: Request, shared: &Shared, timer: &mut StageTimer) -> Response {
     let state = &shared.state;
     match request {
         Request::Admit {
@@ -1484,7 +1410,7 @@ pub(crate) fn dispatch(
                     .sequencer
                     .as_ref()
                     .expect("journaled implies a sequencer")
-                    .enqueue(shard.index, records)
+                    .enqueue(records)
             });
             emit_request_spans(&mut guard, trace_id, timer);
             let sink_enabled = guard.sink.is_enabled();
@@ -1517,7 +1443,7 @@ pub(crate) fn dispatch(
                 Ok(removed) => {
                     let ack = shared.sequencer.as_ref().map(|sequencer| {
                         let record = remove_record(&guard, token, anomalies_before);
-                        sequencer.enqueue(shard.index, vec![record])
+                        sequencer.enqueue(vec![record])
                     });
                     drop(guard);
                     let (wal_ns, appended) = await_ack(shared, ack, None, false);
@@ -1661,7 +1587,6 @@ mod tests {
         let handle = serve(&ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 1,
-            shards: 1,
             admission: AdmissionConfig::new(8),
             limits: ConnectionLimits::default(),
             durability: None,
@@ -1676,7 +1601,7 @@ mod tests {
                 trace_id: None,
                 echo_timing: false,
             };
-            let response = dispatch(request, shared, &shared.shards[0], &mut timer);
+            let response = dispatch(request, shared, &mut timer);
             assert!(
                 matches!(response, Response::Admitted { .. }),
                 "{response:?}"
@@ -1708,12 +1633,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_shard_count_resolves_to_at_least_one() {
-        assert!(effective_shards(0) >= 1, "auto resolves to at least one");
-        assert_eq!(effective_shards(3), 3);
-    }
-
-    #[test]
     fn ack_slot_delivers_the_result_across_threads() {
         let slot = Arc::new(AckSlot::default());
         let waiter = {
@@ -1730,14 +1649,12 @@ mod tests {
     fn sequencer_flush_returns_once_idle_and_orders_enqueues() {
         let seq = WalSequencer::new();
         seq.flush(); // empty and not busy: immediate
-        let a = seq.enqueue(0, Vec::new());
-        let b = seq.enqueue(1, Vec::new());
+        let a = seq.enqueue(Vec::new());
+        let b = seq.enqueue(Vec::new());
         {
             let queue = seq.lock_queue();
             let seqs: Vec<u64> = queue.items.iter().map(|i| i.seq).collect();
             assert_eq!(seqs, vec![0, 1], "sequence numbers follow enqueue order");
-            assert_eq!(queue.items[0].shard, 0);
-            assert_eq!(queue.items[1].shard, 1);
         }
         // Drain as the sequencer thread would, then ack.
         let items: Vec<SeqItem> = seq.lock_queue().items.drain(..).collect();

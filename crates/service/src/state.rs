@@ -42,7 +42,9 @@ use fedsched_telemetry::{CounterKind, EventSink, SpanPhase, TelemetryEvent, Trac
 
 use crate::cache::{CachedSizing, TemplateCache};
 use crate::protocol::Placement;
-use crate::stats::{DurabilityStats, StageStats, Stats, StatsSnapshot, TransportStats};
+use crate::stats::{
+    DurabilityStats, ReactorStats, StageStats, Stats, StatsSnapshot, TransportStats,
+};
 
 /// Static configuration of an [`AdmissionState`].
 #[derive(Debug, Clone, Copy)]
@@ -337,9 +339,8 @@ impl AdmissionState {
             // And the per-stage pipeline histograms, kept lock-free by
             // the connection layer.
             stages: StageStats::default(),
-            // Shard counters belong to the sharded connection plane; the
-            // server merges them in when it runs with `--shards`.
-            shards: Vec::new(),
+            // And the reactor's counters, kept lock-free by its thread.
+            reactor: ReactorStats::default(),
         }
     }
 

@@ -245,7 +245,7 @@ pub struct Stats {
 /// [`StatsSnapshot`] when a snapshot is taken.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TransportStats {
-    /// Connections accepted and handed to a shard's reactor since start.
+    /// Connections accepted and handed to the reactor since start.
     pub connections_served: u64,
     /// Connections turned away with `Busy` because the concurrent
     /// connection cap was reached.
@@ -377,38 +377,23 @@ impl StageStats {
     }
 }
 
-/// Counters of one connection-plane shard, merged into [`StatsSnapshot`]
-/// (`serve --shards N`).
+/// Counters of the server's epoll reactor, merged into [`StatsSnapshot`].
 ///
-/// A shard owns one epoll reactor and the connections homed on it; the
-/// connection permits, the template cache, the ledger and the WAL stay
-/// global, so shard counters describe *where work ran*, never *what was
-/// decided*. Snapshots from servers predating the sharded plane
-/// deserialize with an empty shard list, and keys a shard entry no longer
-/// carries are ignored on decode.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardStatsSnapshot {
-    /// The shard's index, `0..shards`.
-    pub shard: u64,
-    /// Connections homed on this shard since start.
-    pub connections_served: u64,
-    /// Sockets currently registered with this shard's epoll reactor.
-    /// Defaults for snapshots predating the reactor.
-    #[serde(default)]
-    pub reactor_registered_fds: u64,
-    /// Times this shard's reactor returned from `epoll_wait` with at least
-    /// one ready event (eventfd wakeups included).
-    #[serde(default)]
-    pub reactor_wakeups: u64,
+/// Kept in lock-free atomics by the reactor thread; they describe how the
+/// connection plane waited, never what was decided. All zeros in a
+/// snapshot taken from an [`AdmissionState`](crate::state::AdmissionState)
+/// with no server around it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ReactorStats {
+    /// Sockets currently registered with the epoll instance: connections
+    /// parked in the loop, not those handed to the dispatch pool.
+    pub registered_fds: u64,
+    /// Times the reactor returned from `epoll_wait` with at least one
+    /// ready event (eventfd wakeups included).
+    pub wakeups: u64,
     /// Total readiness events the reactor has processed; divided by
-    /// `reactor_wakeups` this is the ready-per-wakeup batching factor.
-    #[serde(default)]
-    pub reactor_ready_events: u64,
-    /// Per-stage pipeline latency decomposition of the requests this shard
-    /// served; buckets follow the same invariants as the global
-    /// [`StageStats`].
-    #[serde(default)]
-    pub stages: StageStats,
+    /// `wakeups` this is the ready-per-wakeup batching factor.
+    pub ready_events: u64,
 }
 
 /// A point-in-time, serializable view of the server's counters, returned by
@@ -471,11 +456,10 @@ pub struct StatsSnapshot {
     /// servers predating the decomposition.
     #[serde(default)]
     pub stages: StageStats,
-    /// Per-shard counters of the sharded admission plane, one entry per
-    /// shard in index order. Empty for snapshots from servers predating
-    /// the sharded plane (serde default).
+    /// The reactor's counters. Defaults for snapshots from servers that
+    /// reported them per shard; their `shards` key is ignored on decode.
     #[serde(default)]
-    pub shards: Vec<ShardStatsSnapshot>,
+    pub reactor: ReactorStats,
 }
 
 /// Renders a snapshot in the Prometheus text exposition format — the body
@@ -582,7 +566,7 @@ pub fn render_prometheus(snapshot: &StatsSnapshot) -> String {
     let transport: [(&str, &str, u64); 8] = [
         (
             "fedsched_connections_served_total",
-            "Connections accepted and handed to a shard's reactor since start",
+            "Connections accepted and handed to the reactor since start",
             snapshot.transport.connections_served,
         ),
         (
@@ -723,65 +707,37 @@ pub fn render_prometheus(snapshot: &StatsSnapshot) -> String {
     for stage in RequestStage::ALL {
         let family = format!("fedsched_stage_duration_{}_us", stage.name());
         out.power_of_two_histogram(&family, stage.help(), snapshot.stages.buckets(stage));
-        // Per-shard series extend the same family: the unlabeled samples
-        // above stay the exact aggregate, the labeled ones decompose it.
-        for shard in &snapshot.shards {
-            out.power_of_two_histogram_labeled(
-                &family,
-                &[("shard", &shard.shard.to_string())],
-                shard.stages.buckets(stage),
-            );
-        }
     }
 
-    if !snapshot.shards.is_empty() {
-        render_shards(&snapshot.shards, &mut out);
+    out.header(
+        "fedsched_reactor_registered_fds",
+        "Sockets currently registered with the epoll reactor",
+        "gauge",
+    );
+    out.sample(
+        "fedsched_reactor_registered_fds",
+        &[],
+        snapshot.reactor.registered_fds,
+    );
+    let reactor: [(&str, &str, u64); 2] = [
+        (
+            "fedsched_reactor_wakeups_total",
+            "epoll_wait returns with at least one ready event",
+            snapshot.reactor.wakeups,
+        ),
+        (
+            "fedsched_reactor_ready_events_total",
+            "Readiness events processed by the reactor (ready-per-wakeup numerator)",
+            snapshot.reactor.ready_events,
+        ),
+    ];
+    for (name, help, value) in reactor {
+        out.header(name, help, "counter");
+        out.sample(name, &[], value);
     }
 
     fedsched_telemetry::render_probe("fedsched_analysis", &snapshot.probe, &mut out);
     out.finish()
-}
-
-/// One per-shard metric family: name, help text, and the field accessor.
-type ShardFamily = (&'static str, &'static str, fn(&ShardStatsSnapshot) -> u64);
-
-/// Renders the per-shard counter families, one `shard`-labeled sample per
-/// shard in each.
-fn render_shards(shards: &[ShardStatsSnapshot], out: &mut fedsched_telemetry::PromText) {
-    let gauges: [ShardFamily; 1] = [(
-        "fedsched_reactor_registered_fds",
-        "Sockets currently registered with the shard's epoll reactor",
-        |s| s.reactor_registered_fds,
-    )];
-    for (name, help, value) in gauges {
-        out.header(name, help, "gauge");
-        for shard in shards {
-            out.sample(name, &[("shard", &shard.shard.to_string())], value(shard));
-        }
-    }
-    let counters: [ShardFamily; 3] = [
-        (
-            "fedsched_shard_connections_served_total",
-            "Connections homed on the shard since start",
-            |s| s.connections_served,
-        ),
-        (
-            "fedsched_reactor_wakeups_total",
-            "epoll_wait returns with at least one ready event on the shard's reactor",
-            |s| s.reactor_wakeups,
-        ),
-        (
-            "fedsched_reactor_ready_events_total",
-            "Readiness events processed by the shard's reactor (ready-per-wakeup numerator)",
-            |s| s.reactor_ready_events,
-        ),
-    ];
-    for (name, help, value) in counters {
-        out.header(name, help, "counter");
-        for shard in shards {
-            out.sample(name, &[("shard", &shard.shard.to_string())], value(shard));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -882,7 +838,7 @@ mod tests {
                 requests_total: 3,
                 ..StageStats::default()
             },
-            shards: Vec::new(),
+            reactor: ReactorStats::default(),
         };
         let text = render_prometheus(&snapshot);
         fedsched_telemetry::validate_exposition(&text).expect("exposition parses");
@@ -892,8 +848,6 @@ mod tests {
         assert!(text
             .lines()
             .any(|l| l == "fedsched_template_cache_evictions_total 2"));
-        // No shard entries → no shard-labeled families at all.
-        assert!(!text.contains("fedsched_shard_"));
         assert!(text
             .lines()
             .any(|l| l == "fedsched_rejected_total{density=\"low\"} 4"));
@@ -919,8 +873,8 @@ mod tests {
     }
 
     #[test]
-    fn shard_series_extend_the_exposition_with_labeled_samples() {
-        let mut snapshot = StatsSnapshot {
+    fn reactor_series_render_one_unlabeled_sample_each() {
+        let snapshot = StatsSnapshot {
             processors: 8,
             dedicated_processors: 0,
             shared_processors: 8,
@@ -943,40 +897,23 @@ mod tests {
             transport: TransportStats::default(),
             durability: DurabilityStats::default(),
             stages: StageStats::default(),
-            shards: Vec::new(),
+            reactor: ReactorStats {
+                registered_fds: 6,
+                wakeups: 101,
+                ready_events: 250,
+            },
         };
-        for shard in 0..2u64 {
-            let mut s = ShardStatsSnapshot {
-                shard,
-                connections_served: 10 + shard,
-                reactor_registered_fds: 6 + shard,
-                reactor_wakeups: 100 + shard,
-                reactor_ready_events: 250 + shard,
-                stages: StageStats::default(),
-            };
-            s.stages.requests_total = 5;
-            s.stages.analysis_buckets_us[2] = 5;
-            snapshot.shards.push(s);
-        }
         let text = render_prometheus(&snapshot);
         fedsched_telemetry::validate_exposition(&text).expect("exposition parses");
         for line in [
-            "fedsched_shard_connections_served_total{shard=\"1\"} 11",
-            "fedsched_reactor_registered_fds{shard=\"0\"} 6",
-            "fedsched_reactor_wakeups_total{shard=\"1\"} 101",
-            "fedsched_reactor_ready_events_total{shard=\"0\"} 250",
-            "fedsched_stage_duration_analysis_us_bucket{shard=\"0\",le=\"8\"} 5",
-            "fedsched_stage_duration_analysis_us_bucket{shard=\"1\",le=\"+Inf\"} 5",
-            "fedsched_stage_duration_analysis_us_count{shard=\"1\"} 5",
+            "fedsched_reactor_registered_fds 6",
+            "fedsched_reactor_wakeups_total 101",
+            "fedsched_reactor_ready_events_total 250",
         ] {
             assert!(text.lines().any(|l| l == line), "missing {line:?}:\n{text}");
         }
-        // Labeled series extend the existing family: exactly one header.
-        assert_eq!(
-            text.matches("# TYPE fedsched_stage_duration_analysis_us histogram")
-                .count(),
-            1
-        );
+        // One reactor: no series carries a shard dimension.
+        assert!(!text.contains("shard"), "{text}");
     }
 
     #[test]
@@ -1004,14 +941,7 @@ mod tests {
             transport: TransportStats::default(),
             durability: DurabilityStats::default(),
             stages: StageStats::default(),
-            shards: vec![ShardStatsSnapshot {
-                shard: 0,
-                stages: StageStats {
-                    requests_total: 5,
-                    ..StageStats::default()
-                },
-                ..ShardStatsSnapshot::default()
-            }],
+            reactor: ReactorStats::default(),
         };
         snapshot.latency_buckets_us[0] = 2;
         snapshot.latency_buckets_us[LATENCY_BUCKETS - 1] = 1;
@@ -1075,7 +1005,7 @@ mod tests {
             transport: TransportStats::default(),
             durability: DurabilityStats::default(),
             stages: StageStats::default(),
-            shards: Vec::new(),
+            reactor: ReactorStats::default(),
         };
         let text = render_prometheus(&snapshot);
         // Every latency histogram HELP line must label its quantiles for
@@ -1150,46 +1080,43 @@ mod tests {
                 requests_total: 12,
                 ..StageStats::default()
             },
-            shards: vec![ShardStatsSnapshot {
-                shard: 1,
-                connections_served: 40,
-                reactor_registered_fds: 2,
-                reactor_wakeups: 9,
-                reactor_ready_events: 15,
-                stages: StageStats::default(),
-            }],
+            reactor: ReactorStats {
+                registered_fds: 2,
+                wakeups: 9,
+                ready_events: 15,
+            },
         };
         let json = serde_json::to_string(&snapshot).unwrap();
         let back: StatsSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back.transport, snapshot.transport);
         assert_eq!(back.durability, snapshot.durability);
         assert_eq!(back.stages, snapshot.stages);
-        assert_eq!(back.shards, snapshot.shards);
+        assert_eq!(back.reactor, snapshot.reactor);
         // A snapshot from a server predating the stage decomposition and
-        // the sharded plane deserializes with default (empty) stage stats
-        // and no shard entries.
+        // the reactor section deserializes with default stage stats and
+        // zeroed reactor counters.
         let stripped = {
             let mut v: serde_json::Value = serde_json::from_str(&json).unwrap();
             if let serde_json::Value::Map(entries) = &mut v {
-                entries.retain(|(k, _)| k != "stages" && k != "shards" && k != "cache_evictions");
+                entries.retain(|(k, _)| k != "stages" && k != "reactor" && k != "cache_evictions");
             }
             serde_json::to_string(&v).unwrap()
         };
         let old: StatsSnapshot = serde_json::from_str(&stripped).unwrap();
         assert_eq!(old.stages, StageStats::default());
-        assert!(old.shards.is_empty());
+        assert_eq!(old.reactor, ReactorStats::default());
         assert_eq!(old.cache_evictions, 0);
-        // A shard entry from a server that still reported per-shard
-        // permits, steals, batching and compute-cache traffic decodes,
-        // its retired keys ignored.
-        let legacy = json.replacen(
-            "\"connections_served\":40",
-            "\"permits\":8,\"batched_requests\":3,\"connections_served\":40,\"compute_hits\":20",
+        // A snapshot from a server that reported its reactors per shard
+        // decodes, the retired `shards` list ignored.
+        let legacy = stripped.replacen(
+            "\"processors\":2,",
+            "\"processors\":2,\"shards\":[{\"shard\":1,\"connections_served\":40,\
+             \"reactor_wakeups\":9,\"stages\":{\"requests_total\":12}}],",
             1,
         );
-        assert_ne!(legacy, json);
+        assert_ne!(legacy, stripped);
         let back: StatsSnapshot = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(back.shards, snapshot.shards);
+        assert_eq!(back, old);
     }
 
     #[test]
@@ -1234,7 +1161,7 @@ mod tests {
             transport: TransportStats::default(),
             durability: DurabilityStats::default(),
             stages: StageStats::default(),
-            shards: Vec::new(),
+            reactor: ReactorStats::default(),
         };
         let text = render_prometheus(&snapshot);
         fedsched_telemetry::validate_exposition(&text).expect("exposition parses");

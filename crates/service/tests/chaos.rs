@@ -23,14 +23,9 @@ use fedsched_service::state::AdmissionConfig;
 use fedsched_service::stats::TransportStats;
 
 fn start_server(limits: ConnectionLimits) -> ServerHandle {
-    start_sharded_server(limits, 1)
-}
-
-fn start_sharded_server(limits: ConnectionLimits, shards: usize) -> ServerHandle {
     serve(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
-        shards,
         admission: AdmissionConfig::new(16).with_telemetry(256),
         limits,
         durability: None,
@@ -50,7 +45,6 @@ fn start_durable_server(dir: &std::path::Path) -> ServerHandle {
     serve(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
-        shards: 1,
         admission: AdmissionConfig::new(16).with_telemetry(256),
         limits: ConnectionLimits::default(),
         durability: Some(StoreConfig {
@@ -278,20 +272,15 @@ fn is_busy(line: &str) -> bool {
 }
 
 #[test]
-fn busy_only_when_max_conns_connections_are_live_whichever_shard_each_landed_on() {
-    // Two shards share one gate of two permits. Round-robin homing puts
-    // the two hogs on different shards; the gate counts them together,
-    // so a third connection hears Busy. Once a hog leaves, a new client
-    // is served whichever shard it lands on, and the next one hears Busy
-    // again.
-    let handle = start_sharded_server(
-        ConnectionLimits {
-            io_timeout: Some(Duration::from_secs(2)),
-            max_connections: 2,
-            ..ConnectionLimits::default()
-        },
-        2,
-    );
+fn busy_only_when_max_conns_connections_are_live() {
+    // One gate of two permits: two hogs hold both, so a third connection
+    // hears Busy. Once a hog leaves, a new client is served, and the next
+    // one hears Busy again.
+    let handle = start_server(ConnectionLimits {
+        io_timeout: Some(Duration::from_secs(2)),
+        max_connections: 2,
+        ..ConnectionLimits::default()
+    });
     let addr = handle.local_addr();
     let counters = handle.transport();
 
@@ -307,12 +296,6 @@ fn busy_only_when_max_conns_connections_are_live_whichever_shard_each_landed_on(
         );
         hogs.push(hog);
     }
-    let shards = handle.shard_stats();
-    assert_eq!(shards.len(), 2);
-    assert!(
-        shards.iter().all(|s| s.connections_served == 1),
-        "round-robin homing puts one hog on each shard, got {shards:?}"
-    );
 
     // Both permits are held: a fast framed Busy.
     let mut probe = ChaosClient::connect(addr).expect("probe connect");
@@ -355,15 +338,6 @@ fn busy_only_when_max_conns_connections_are_live_whichever_shard_each_landed_on(
         transport.busy_rejections >= 2,
         "both full-capacity rejections must be counted, got {transport:?}"
     );
-    assert_eq!(
-        handle
-            .shard_stats()
-            .iter()
-            .map(|s| s.connections_served)
-            .sum::<u64>(),
-        transport.connections_served,
-        "every served connection is homed on exactly one shard"
-    );
 
     drop(newcomer);
     drop(hogs);
@@ -381,7 +355,6 @@ fn a_trickling_busy_client_cannot_hold_the_acceptor_past_one_deadline() {
     let handle = serve(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 1,
-        shards: 1,
         admission: AdmissionConfig::new(16),
         limits: ConnectionLimits {
             max_connections: 1,
@@ -727,7 +700,7 @@ fn a_thousand_slowloris_connections_cannot_wedge_the_reactor() {
     // The C10k-style attack the reactor exists for: 1,000 connections
     // held open mid-frame at once. Thread-per-connection would burn a
     // thousand stacks on this; the reactor must hold every socket on its
-    // shard loops without spawning anything, answer a healthy client
+    // one loop without spawning anything, answer a healthy client
     // within one io-timeout while the attack is live, and strike every
     // attacker out on schedule.
     const ATTACKERS: usize = 1000;
@@ -735,7 +708,6 @@ fn a_thousand_slowloris_connections_cannot_wedge_the_reactor() {
     let handle = serve(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
-        shards: 2,
         admission: AdmissionConfig::new(16).with_telemetry(256),
         limits: ConnectionLimits {
             io_timeout: Some(io_timeout),
@@ -765,20 +737,16 @@ fn a_thousand_slowloris_connections_cannot_wedge_the_reactor() {
         attackers.push(s);
     }
 
-    // Every attacker lands on a shard reactor. The registered-fd gauge
-    // alone is racy here: on a loaded machine the connect loop above can
+    // Every attacker lands on the reactor. The registered-fd gauge alone
+    // is racy here: on a loaded machine the connect loop above can
     // outlast the strike-out window, so early attackers may already be
     // reaped while late ones are still registering. Parked + reaped is
-    // monotone and proves each of the 1,000 sockets was held by a
-    // reactor (the plane is pinned, so every timeout is a reactor's).
+    // monotone and proves each of the 1,000 sockets was held by the
+    // reactor (the plane is pinned, so every timeout is the reactor's).
     let parked = {
         let deadline = Instant::now() + io_timeout * 3 + Duration::from_secs(10);
         loop {
-            let fds: u64 = handle
-                .shard_stats()
-                .iter()
-                .map(|s| s.reactor_registered_fds)
-                .sum();
+            let fds = handle.reactor_stats().registered_fds;
             let reaped = counters.snapshot().connections_timed_out;
             if fds + reaped >= ATTACKERS as u64 || Instant::now() >= deadline {
                 break fds + reaped;
@@ -791,7 +759,7 @@ fn a_thousand_slowloris_connections_cannot_wedge_the_reactor() {
         "every attacker must be parked on a reactor, saw {parked}"
     );
     // Bounded resources: the attack adds sockets, never threads. The
-    // server runs a fixed crew (acceptors, reactors, dispatchers); even
+    // server runs a fixed crew (acceptors, reactor, dispatchers); even
     // with generous slack for the test harness, a thread-per-connection
     // plane would blow far past this.
     let threads_during = std::fs::read_dir("/proc/self/task")
@@ -818,7 +786,7 @@ fn a_thousand_slowloris_connections_cannot_wedge_the_reactor() {
     drop(client);
 
     // Every attacker strikes out on the idle deadline and is dropped;
-    // the registered-fd gauges drain back down with them.
+    // the registered-fd gauge drains back down with them.
     let deadline = Instant::now() + io_timeout * 3 + Duration::from_secs(10);
     loop {
         let timed_out = counters.snapshot().connections_timed_out;
@@ -836,11 +804,7 @@ fn a_thousand_slowloris_connections_cannot_wedge_the_reactor() {
         "every strike-out implies at least one read timeout, got {:?}",
         counters.snapshot()
     );
-    let fds: u64 = handle
-        .shard_stats()
-        .iter()
-        .map(|s| s.reactor_registered_fds)
-        .sum();
+    let fds = handle.reactor_stats().registered_fds;
     assert_eq!(fds, 0, "dropped attackers must leave no registered fds");
 
     drop(attackers);

@@ -22,7 +22,9 @@
 //! ```
 //!
 //! which rewrites it from [`corpus`]; the direct codec must reproduce it
-//! byte for byte.
+//! byte for byte. Line 20, the `Stats` response, was regenerated the same
+//! way when the snapshot's per-shard list became one `reactor` section;
+//! every other line is still the `Value`-tree codec's.
 //!
 //! The mutation test truncates every golden line at every byte, and flips,
 //! inserts and deletes bytes at seeded offsets. Each mutated line is
@@ -45,7 +47,7 @@ use fedsched_graham::list::PriorityPolicy;
 use fedsched_graham::schedule::{ScheduleEntry, TemplateSchedule};
 use fedsched_service::protocol::{Placement, Request, RequestTiming, Response};
 use fedsched_service::stats::{
-    DurabilityStats, ShardStatsSnapshot, StageStats, StatsSnapshot, TransportStats,
+    DurabilityStats, ReactorStats, StageStats, StatsSnapshot, TransportStats,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -195,7 +197,7 @@ fn stage_stats(rng: &mut StdRng) -> StageStats {
 }
 
 fn stats_snapshot(rng: &mut StdRng) -> StatsSnapshot {
-    StatsSnapshot {
+    let snapshot = StatsSnapshot {
         processors: 32,
         dedicated_processors: 11,
         shared_processors: 21,
@@ -239,17 +241,18 @@ fn stats_snapshot(rng: &mut StdRng) -> StatsSnapshot {
             snapshots_skipped: 1,
         },
         stages: stage_stats(rng),
-        shards: (0..2)
-            .map(|shard| ShardStatsSnapshot {
-                shard,
-                connections_served: 2 + shard,
-                reactor_registered_fds: 2,
-                reactor_wakeups: 10_004,
-                reactor_ready_events: 10_006,
-                stages: stage_stats(rng),
-            })
-            .collect(),
+        reactor: ReactorStats {
+            registered_fds: 2,
+            wakeups: 10_004,
+            ready_events: 10_006,
+        },
+    };
+    // The sample once carried two per-shard stage sections. Their draws
+    // stay, so every corpus value after this one keeps its bytes.
+    for _ in 0..2 {
+        stage_stats(rng);
     }
+    snapshot
 }
 
 /// A rejection reason with quotes, backslashes, every escaped control

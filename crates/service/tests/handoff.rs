@@ -27,7 +27,6 @@ fn start_donor(dir: &Path) -> ServerHandle {
     serve(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
-        shards: 1,
         admission: AdmissionConfig::new(16),
         limits: ConnectionLimits::default(),
         durability: Some(StoreConfig {
@@ -44,7 +43,6 @@ fn start_receiver(handoff_from: Option<PathBuf>, durability: Option<StoreConfig>
     serve(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
-        shards: 1,
         admission: AdmissionConfig::new(16),
         limits: ConnectionLimits::default(),
         durability,
@@ -148,7 +146,6 @@ fn missing_donor_directory_is_a_boot_error() {
     let err = serve(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
-        shards: 1,
         admission: AdmissionConfig::new(16),
         limits: ConnectionLimits::default(),
         durability: None,

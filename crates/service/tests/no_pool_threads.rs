@@ -3,10 +3,15 @@
 //! whose sizing windows hold several candidates, the process has no
 //! `worksteal-*` pool worker, whatever `FEDSCHED_THREADS` says.
 //!
+//! The same census counts the server's own crew: one reactor, `workers`
+//! acceptors, `workers` dispatch workers, and no WAL sequencer without a
+//! data directory.
+//!
 //! The `fedsched-parallel` pool is built lazily, once per process, and its
 //! workers live as long as the process does. This binary therefore holds
 //! exactly one test: another test that built the pool would leave its
-//! workers behind.
+//! workers behind, and another server would add its threads to the
+//! census.
 
 use fedsched_core::fedcons::{fedcons, FedConsConfig};
 use fedsched_dag::graph::DagBuilder;
@@ -15,6 +20,9 @@ use fedsched_dag::task::DagTask;
 use fedsched_dag::time::Duration;
 use fedsched_service::protocol::{Placement, Request, Response};
 use fedsched_service::{serve, AdmissionConfig, ConnectionLimits, ServerConfig};
+
+/// Acceptor threads of the server under test, and so dispatch workers.
+const WORKERS: usize = 2;
 
 /// Two independent vertices of WCET `3k` beside a chain of three `2k`
 /// vertices, due in `7k`: `⌈δ⌉ = 2` and the bracket caps the window at 5,
@@ -33,14 +41,32 @@ fn fork_task(k: u64) -> DagTask {
     .unwrap()
 }
 
-/// Names of this process's `fedsched-parallel` pool worker threads.
-fn pool_workers() -> Vec<String> {
+/// This process's thread names, as the kernel keeps them: cut to 15
+/// bytes, so `fedsched-reactor` reads `fedsched-reacto`.
+fn thread_names() -> Vec<String> {
     std::fs::read_dir("/proc/self/task")
         .expect("procfs lists this process's threads")
         .filter_map(|entry| std::fs::read_to_string(entry.ok()?.path().join("comm")).ok())
         .map(|comm| comm.trim_end().to_owned())
-        .filter(|comm| comm.starts_with("worksteal-"))
         .collect()
+}
+
+/// How many of this process's threads carry each server-thread prefix,
+/// and the names of any `fedsched-parallel` pool workers.
+fn census() -> ([usize; 4], Vec<String>) {
+    let names = thread_names();
+    let count = |prefix: &str| names.iter().filter(|n| n.starts_with(prefix)).count();
+    let crew = [
+        count("fedsched-reacto"),
+        count("fedsched-accept"),
+        count("fedsched-dispat"),
+        count("fedsched-wal-se"),
+    ];
+    let pool = names
+        .into_iter()
+        .filter(|n| n.starts_with("worksteal-"))
+        .collect();
+    (crew, pool)
 }
 
 #[test]
@@ -52,8 +78,7 @@ fn batch_and_cold_admits_spawn_no_pool_workers() {
 
     let handle = serve(&ServerConfig {
         addr: "127.0.0.1:0".into(),
-        workers: 2,
-        shards: 2,
+        workers: WORKERS,
         admission: AdmissionConfig::new(16),
         limits: ConnectionLimits::default(),
         durability: None,
@@ -85,7 +110,24 @@ fn batch_and_cold_admits_spawn_no_pool_workers() {
         );
     }
 
-    assert_eq!(pool_workers(), Vec::<String>::new());
+    // A thread takes its name once it starts running, so give a freshly
+    // spawned one a moment before reading a wrong census as final.
+    let expected = [1, WORKERS, WORKERS, 0];
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    let (crew, pool) = loop {
+        let (crew, pool) = census();
+        if crew == expected || std::time::Instant::now() >= deadline {
+            break (crew, pool);
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    };
+    assert_eq!(
+        crew,
+        expected,
+        "[reactor, acceptors, dispatchers, WAL sequencer] threads of {:?}",
+        thread_names()
+    );
+    assert_eq!(pool, Vec::<String>::new());
     drop(session);
     handle.shutdown();
 }

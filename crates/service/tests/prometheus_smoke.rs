@@ -20,7 +20,6 @@ fn start_server() -> ServerHandle {
     serve(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
-        shards: 1,
         admission: AdmissionConfig::new(8).with_telemetry(256),
         limits: ConnectionLimits::default(),
         durability: None,
@@ -216,8 +215,8 @@ fn stage_histogram_counts_match_requests_total_over_a_live_scrape() {
 
 /// Every metric family docs/OBSERVABILITY.md documents: the backticked
 /// `fedsched_*` names of each table cell that opens with one, with
-/// `{a,b}` alternations expanded and label sets (`{shard}`,
-/// `{density="high|low"}`) dropped.
+/// `{a,b}` alternations expanded and label sets
+/// (`{density="high|low"}`) dropped.
 fn documented_families() -> BTreeSet<String> {
     fn expand(token: &str) -> Vec<String> {
         let Some(open) = token.find('{') else {
@@ -260,7 +259,6 @@ fn every_exported_metric_family_is_documented_and_vice_versa() {
     let handle = serve(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 1,
-        shards: 2,
         admission: AdmissionConfig::new(8),
         limits: ConnectionLimits::default(),
         durability: None,

@@ -24,7 +24,6 @@ fn start_on(processors: u32, limits: ConnectionLimits) -> ServerHandle {
     serve(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 1,
-        shards: 2,
         admission: AdmissionConfig::new(processors),
         limits,
         durability: None,

@@ -1,11 +1,10 @@
-//! Cross-shard determinism: the sharded connection plane is a pure
-//! concurrency structure, so the *decisions* it produces must be
-//! byte-identical at any shard count.
+//! Connection-plane determinism: the reactor and the dispatch pool are a
+//! pure concurrency structure, so the *decisions* a server produces must
+//! not depend on what carried the requests.
 //!
 //! Randomized (seeded, proptest-style) admit/remove interleavings are
-//! driven sequentially — one connection, one in-flight request — against
-//! servers running `--shards 1`, `2`, and `8`, and the suite asserts
-//! three layers of identity:
+//! driven sequentially — one connection, one in-flight request — and the
+//! suite asserts three layers of identity:
 //!
 //! * the raw NDJSON response bytes, request for request;
 //! * the deterministic slice of the stats snapshot (decision counters,
@@ -17,12 +16,13 @@
 //! differ, which is outside this suite's claim. Same input order in,
 //! same bytes out.
 //!
-//! The same three layers are diffed between the epoll reactor over TCP
-//! and an in-process [`Session`](fedsched_service::Session) on a server
-//! of the same shape: one request pipeline, whatever carries the bytes.
-//! One seed's three layers are also compared with a transcript pinned
-//! in `tests/data/`, so a change to the plane is judged against the build
-//! before it, not only against itself.
+//! The three layers are diffed between the epoll reactor over TCP and an
+//! in-process [`Session`](fedsched_service::Session) on a server of the
+//! same shape: one request pipeline, whatever carries the bytes. One
+//! seed's three layers are also compared with a transcript pinned in
+//! `tests/data/`, recorded from an earlier build of the plane, so a
+//! change to the plane is judged against the builds before it, not only
+//! against itself.
 //!
 //! A churn soak rides along for the bounded template cache: admissions
 //! over more distinct shapes than the cap must pin `cache_entries` to
@@ -48,11 +48,10 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn start(shards: usize, cache_cap: usize, dir: Option<&PathBuf>) -> ServerHandle {
+fn start(cache_cap: usize, dir: Option<&PathBuf>) -> ServerHandle {
     serve(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
-        shards,
         admission: AdmissionConfig::new(16).with_cache_cap(cache_cap),
         limits: ConnectionLimits::default(),
         durability: dir.map(|dir| StoreConfig {
@@ -211,9 +210,9 @@ fn drive(
     (responses, snapshot)
 }
 
-/// The snapshot fields that must not depend on the shard count. Wall
-/// times, latency buckets, and the per-shard section are legitimately
-/// run- and topology-dependent; everything decision-shaped is not.
+/// The snapshot fields that must not depend on the carrier or the run.
+/// Wall times, latency buckets, and the reactor counters legitimately
+/// are run-dependent; everything decision-shaped is not.
 fn deterministic_view(snapshot: &StatsSnapshot) -> impl PartialEq + std::fmt::Debug {
     (
         (
@@ -250,65 +249,18 @@ fn shutdown(addr: std::net::SocketAddr, handle: ServerHandle) {
     handle.join();
 }
 
-#[test]
-fn decisions_and_wal_bytes_are_identical_across_shard_counts() {
-    // (responses, deterministic stats view, WAL bytes) of the first run.
-    type Baseline = (Vec<String>, Box<dyn std::fmt::Debug>, Vec<u8>);
-    for seed in [0x0D5E_ED01_u64, 0x0D5E_ED02, 0x0D5E_ED03] {
-        let mut baseline: Option<Baseline> = None;
-        for shards in [1usize, 2, 8] {
-            let dir = scratch_dir(&format!("{seed:x}-{shards}"));
-            let handle = start(shards, 8, Some(&dir));
-            let addr = handle.local_addr();
-            let (responses, snapshot) = drive_tcp(addr, seed, 120);
-            shutdown(addr, handle);
-            let wal = std::fs::read(dir.join("wal.log")).expect("read wal");
-            let _ = std::fs::remove_dir_all(&dir);
-
-            // Sanity: the interleaving exercised real traffic.
-            assert!(snapshot.admitted_high + snapshot.admitted_low > 0);
-            assert!(snapshot.rejected_high + snapshot.rejected_low > 0);
-            assert!(snapshot.removed > 0);
-            assert!(snapshot.cache_hits > 0 && snapshot.cache_misses > 0);
-
-            let view = deterministic_view(&snapshot);
-            match &baseline {
-                None => {
-                    baseline = Some((responses, Box::new(view), wal));
-                }
-                Some((first_responses, first_view, first_wal)) => {
-                    assert_eq!(
-                        first_responses, &responses,
-                        "seed {seed:#x}: responses diverged at {shards} shard(s)"
-                    );
-                    assert_eq!(
-                        format!("{first_view:?}"),
-                        format!("{view:?}"),
-                        "seed {seed:#x}: stats diverged at {shards} shard(s)"
-                    );
-                    assert_eq!(
-                        first_wal, &wal,
-                        "seed {seed:#x}: WAL bytes diverged at {shards} shard(s)"
-                    );
-                }
-            }
-        }
-    }
-}
-
 /// The pinned transcript: seed `0x0D5E_ED01` driven over TCP against a
-/// durable two-shard server with a cache cap of 8. It was recorded from
-/// an earlier build of the plane (one with a second cache tier), so it
-/// pins this build against that one, not only shard counts of one build
-/// against each other.
+/// durable server with a cache cap of 8. It was recorded from an earlier
+/// build of the plane (two shards and a second cache tier), so it pins
+/// this build against that one, not only against itself.
 const PINNED_TRANSCRIPT: &str = include_str!("data/shard_transcript_0d5eed01.txt");
 
-/// One durable TCP run of `seed` at `shards`, flattened to the pinned
-/// transcript's layout: `view <deterministic view>`, `wal <length>
-/// <crc32>`, then the response lines in request order.
-fn transcript(seed: u64, shards: usize) -> String {
-    let dir = scratch_dir(&format!("pinned-{seed:x}-{shards}"));
-    let handle = start(shards, 8, Some(&dir));
+/// One durable TCP run of `seed`, flattened to the pinned transcript's
+/// layout: `view <deterministic view>`, `wal <length> <crc32>`, then the
+/// response lines in request order.
+fn transcript(seed: u64) -> String {
+    let dir = scratch_dir(&format!("pinned-{seed:x}"));
+    let handle = start(8, Some(&dir));
     let addr = handle.local_addr();
     let (responses, snapshot) = drive_tcp(addr, seed, 120);
     shutdown(addr, handle);
@@ -325,34 +277,32 @@ fn transcript(seed: u64, shards: usize) -> String {
 }
 
 #[test]
-fn decisions_stats_and_wal_match_the_pinned_transcript_at_every_shard_count() {
+fn decisions_stats_and_wal_match_the_pinned_transcript() {
     let pinned: Vec<&str> = PINNED_TRANSCRIPT.lines().collect();
     assert_eq!(pinned.len(), 2 + 120, "pinned transcript is truncated");
-    for shards in [1usize, 2, 8] {
-        let run = transcript(0x0D5E_ED01, shards);
-        let lines: Vec<&str> = run.lines().collect();
-        assert_eq!(lines.len(), pinned.len(), "{shards} shard(s): line count");
-        for (at, (pinned, got)) in pinned.iter().zip(&lines).enumerate() {
-            assert_eq!(
-                pinned,
-                got,
-                "{shards} shard(s): transcript line {} diverged from the pinned one",
-                at + 1
-            );
-        }
+    let run = transcript(0x0D5E_ED01);
+    let lines: Vec<&str> = run.lines().collect();
+    assert_eq!(lines.len(), pinned.len(), "line count");
+    for (at, (pinned, got)) in pinned.iter().zip(&lines).enumerate() {
+        assert_eq!(
+            pinned,
+            got,
+            "transcript line {} diverged from the pinned one",
+            at + 1
+        );
     }
 }
 
 #[test]
 fn the_reactor_over_tcp_and_an_in_process_session_produce_identical_bytes() {
-    // One pipeline, two carriers: at every shard count the same seeded
-    // interleaving must yield the same response bytes, the same
-    // deterministic stats view, and the same WAL bytes on disk whether
-    // it arrives over a socket or through a session.
+    // One pipeline, two carriers: the same seeded interleaving must
+    // yield the same response bytes, the same deterministic stats view,
+    // and the same WAL bytes on disk whether it arrives over a socket or
+    // through a session.
     type Run = (Vec<String>, String, Vec<u8>);
-    let run = |seed: u64, shards: usize, in_process: bool| -> Run {
-        let dir = scratch_dir(&format!("carrier-{seed:x}-{shards}-{in_process}"));
-        let handle = start(shards, 8, Some(&dir));
+    let run = |seed: u64, in_process: bool| -> Run {
+        let dir = scratch_dir(&format!("carrier-{seed:x}-{in_process}"));
+        let handle = start(8, Some(&dir));
         let (responses, snapshot) = if in_process {
             let driven = drive_session(&handle, seed, 120);
             handle.shutdown();
@@ -365,35 +315,43 @@ fn the_reactor_over_tcp_and_an_in_process_session_produce_identical_bytes() {
         };
         let wal = std::fs::read(dir.join("wal.log")).expect("read wal");
         let _ = std::fs::remove_dir_all(&dir);
+        // Sanity: the interleaving exercised real traffic.
         assert!(snapshot.admitted_high + snapshot.admitted_low > 0);
+        assert!(snapshot.rejected_high + snapshot.rejected_low > 0);
         assert!(snapshot.removed > 0);
+        assert!(snapshot.cache_hits > 0 && snapshot.cache_misses > 0);
         let view = format!("{:?}", deterministic_view(&snapshot));
         (responses, view, wal)
     };
-    for seed in [0x0D5E_ED0C_u64, 0x0D5E_ED0D, 0x0D5E_ED0E] {
-        for shards in [1usize, 2, 8] {
-            let (tcp_responses, tcp_view, tcp_wal) = run(seed, shards, false);
-            let (responses, view, wal) = run(seed, shards, true);
-            assert_eq!(
-                tcp_responses, responses,
-                "seed {seed:#x}: responses diverged between TCP and a session at {shards} shard(s)"
-            );
-            assert_eq!(
-                tcp_view, view,
-                "seed {seed:#x}: stats diverged between TCP and a session at {shards} shard(s)"
-            );
-            assert_eq!(
-                tcp_wal, wal,
-                "seed {seed:#x}: WAL bytes diverged between TCP and a session at {shards} shard(s)"
-            );
-        }
+    for seed in [
+        0x0D5E_ED01_u64,
+        0x0D5E_ED02,
+        0x0D5E_ED03,
+        0x0D5E_ED0C,
+        0x0D5E_ED0D,
+        0x0D5E_ED0E,
+    ] {
+        let (tcp_responses, tcp_view, tcp_wal) = run(seed, false);
+        let (responses, view, wal) = run(seed, true);
+        assert_eq!(
+            tcp_responses, responses,
+            "seed {seed:#x}: responses diverged between TCP and a session"
+        );
+        assert_eq!(
+            tcp_view, view,
+            "seed {seed:#x}: stats diverged between TCP and a session"
+        );
+        assert_eq!(
+            tcp_wal, wal,
+            "seed {seed:#x}: WAL bytes diverged between TCP and a session"
+        );
     }
 }
 
 #[test]
 fn churn_soak_pins_the_template_cache_to_its_cap() {
     let cap = 4usize;
-    let handle = start(2, cap, None);
+    let handle = start(cap, None);
     let addr = handle.local_addr();
 
     let stream = TcpStream::connect(addr).expect("connect");

@@ -19,7 +19,6 @@ fn start_server(processors: u32) -> ServerHandle {
     serve(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: CLIENTS,
-        shards: 2,
         admission: AdmissionConfig::new(processors),
         limits: ConnectionLimits::default(),
         durability: None,
@@ -168,10 +167,10 @@ fn in_process_shutdown_stops_the_workers() {
 #[test]
 fn registered_fd_gauge_excludes_connections_in_dispatch() {
     // Connection A completes one request and idles, so its fd is back in
-    // its shard's epoll set. Connection B asks for stats: while B's
-    // response renders, B is in dispatch and its fd is out of epoll, so
-    // the shards' gauges must sum to exactly 1. A's re-registration
-    // follows its response onto the wire, hence the bounded poll.
+    // the epoll set. Connection B asks for stats: while B's response
+    // renders, B is in dispatch and its fd is out of epoll, so the gauge
+    // must read exactly 1. A's re-registration follows its response onto
+    // the wire, hence the bounded poll.
     let handle = start_server(4);
     let addr = handle.local_addr();
     let mut a = Client::connect(addr).expect("connect A");
@@ -186,11 +185,7 @@ fn registered_fd_gauge_excludes_connections_in_dispatch() {
             Response::Stats { snapshot } => snapshot,
             other => panic!("stats answered {other:?}"),
         };
-        let fds: u64 = snapshot
-            .shards
-            .iter()
-            .map(|s| s.reactor_registered_fds)
-            .sum();
+        let fds = snapshot.reactor.registered_fds;
         if fds == 1 || std::time::Instant::now() >= deadline {
             break fds;
         }

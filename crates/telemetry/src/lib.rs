@@ -41,13 +41,8 @@
 //! builder.push_events(&sink.events());
 //! let json = builder.to_json();
 //! assert!(json.contains("\"traceEvents\""));
-//! # if cfg!(feature = "ring") { assert!(json.contains("sizing")); }
+//! assert!(json.contains("sizing"));
 //! ```
-//!
-//! With the crate's `ring` feature disabled, `EventSink::ring` degrades to
-//! the no-op sink and the example above exports an empty document — the
-//! API is identical either way, so callers never feature-gate their own
-//! instrumentation.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -61,6 +56,4 @@ pub mod sink;
 pub use chrome::{ChromeArgs, ChromeEvent, ChromeTraceBuilder, ChromeTraceDocument};
 pub use event::{monotonic_nanos, CounterKind, SpanPhase, TelemetryEvent, TraceId};
 pub use prometheus::{render_probe, validate_exposition, PromText};
-#[cfg(feature = "ring")]
-pub use sink::RingBuffer;
-pub use sink::{EventSink, SpanTimer};
+pub use sink::{EventSink, RingBuffer, SpanTimer};

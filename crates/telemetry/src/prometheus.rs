@@ -93,39 +93,6 @@ impl PromText {
         self.sample(&format!("{name}_count"), &[], cumulative);
     }
 
-    /// Renders a power-of-two histogram as additional labeled series of an
-    /// already-opened histogram family: no `# HELP`/`# TYPE` header is
-    /// emitted, and every sample (including `_sum` and `_count`) carries
-    /// `labels`. Bucket samples append `le` after the caller's labels, so a
-    /// labeled `_bucket` series never ends in `le="+Inf"}` alone — callers
-    /// that strip-match the unlabeled suffix stay unambiguous.
-    pub fn power_of_two_histogram_labeled(
-        &mut self,
-        name: &str,
-        labels: &[(&str, &str)],
-        buckets: &[u64],
-    ) {
-        let mut cumulative = 0u64;
-        let mut sum_upper = 0u64;
-        let last = buckets.len().saturating_sub(1);
-        for (i, &count) in buckets.iter().enumerate() {
-            cumulative += count;
-            let upper = 2u64.saturating_pow(i as u32 + 1);
-            sum_upper = sum_upper.saturating_add(count.saturating_mul(upper));
-            if i < last {
-                let mut with_le = labels.to_vec();
-                let upper = upper.to_string();
-                with_le.push(("le", &upper));
-                self.sample(&format!("{name}_bucket"), &with_le, cumulative);
-            }
-        }
-        let mut with_le = labels.to_vec();
-        with_le.push(("le", "+Inf"));
-        self.sample(&format!("{name}_bucket"), &with_le, cumulative);
-        self.sample(&format!("{name}_sum"), labels, sum_upper);
-        self.sample(&format!("{name}_count"), labels, cumulative);
-    }
-
     /// The finished exposition text.
     #[must_use]
     pub fn finish(self) -> String {
@@ -291,31 +258,6 @@ mod tests {
         assert!(text.lines().any(|l| l == "lat_us_count 6"));
         // sum upper bound: 3·2 + 1·4 + 2·8 = 26.
         assert!(text.lines().any(|l| l == "lat_us_sum 26"));
-        validate_exposition(&text).unwrap();
-    }
-
-    #[test]
-    fn labeled_histogram_extends_a_family_without_a_header() {
-        let mut p = PromText::new();
-        p.power_of_two_histogram("lat_us", "latency", &[3, 1, 2]);
-        p.power_of_two_histogram_labeled("lat_us", &[("shard", "1")], &[1, 0, 1]);
-        let text = p.finish();
-        // Exactly one header for the family.
-        assert_eq!(text.matches("# TYPE lat_us histogram").count(), 1);
-        assert!(text
-            .lines()
-            .any(|l| l == "lat_us_bucket{shard=\"1\",le=\"2\"} 1"));
-        assert!(text
-            .lines()
-            .any(|l| l == "lat_us_bucket{shard=\"1\",le=\"+Inf\"} 2"));
-        // sum upper bound: 1·2 + 0·4 + 1·8 = 10.
-        assert!(text.lines().any(|l| l == "lat_us_sum{shard=\"1\"} 10"));
-        assert!(text.lines().any(|l| l == "lat_us_count{shard=\"1\"} 2"));
-        // The caller's label comes first, so labeled bucket series never end
-        // with the bare `le="+Inf"}` suffix the unlabeled harvest matches.
-        assert!(!text.lines().any(|l| l.starts_with("lat_us_bucket{shard")
-            && l.contains("le=\"+Inf\"")
-            && !l.contains("shard=\"1\",le")));
         validate_exposition(&text).unwrap();
     }
 

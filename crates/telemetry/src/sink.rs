@@ -2,9 +2,8 @@
 //!
 //! [`EventSink`] is a concrete enum, not a trait object, so the disabled
 //! path is a single branch the optimizer sees through: with the
-//! [`EventSink::Noop`] variant (or with the crate's `ring` feature off,
-//! which removes the ring variant entirely) every `record` call reduces to
-//! a discriminant test on a value the caller owns — no allocation, no
+//! [`EventSink::Noop`] variant every `record` call reduces to a
+//! discriminant test on a value the caller owns — no allocation, no
 //! timestamp, no indirect call. The E18 benchmark
 //! (`fedsched-bench/benches/telemetry_overhead.rs`) holds the enabled path
 //! to within 2% of this no-op path on the admission hot loop.
@@ -16,7 +15,6 @@ use crate::event::{monotonic_nanos, CounterKind, SpanPhase, TelemetryEvent, Trac
 /// Pushing into a full buffer overwrites the oldest event and counts the
 /// displacement in [`RingBuffer::dropped`]; telemetry must never make the
 /// server unbounded in memory.
-#[cfg(feature = "ring")]
 #[derive(Debug, Clone)]
 pub struct RingBuffer {
     slots: Vec<TelemetryEvent>,
@@ -27,7 +25,6 @@ pub struct RingBuffer {
     dropped: u64,
 }
 
-#[cfg(feature = "ring")]
 impl RingBuffer {
     /// An empty buffer holding at most `capacity` events.
     ///
@@ -105,12 +102,10 @@ impl SpanTimer {
 /// Where telemetry events go.
 #[derive(Debug, Default)]
 pub enum EventSink {
-    /// Discard everything (the default, and the only variant without the
-    /// `ring` feature).
+    /// Discard everything (the default).
     #[default]
     Noop,
     /// Retain the most recent events in a bounded [`RingBuffer`].
-    #[cfg(feature = "ring")]
     Ring(RingBuffer),
 }
 
@@ -121,19 +116,15 @@ impl EventSink {
         EventSink::Noop
     }
 
-    /// A ring-buffer sink of the given capacity. Zero capacity — or a
-    /// build without the `ring` feature — yields the no-op sink, so
-    /// callers configure capacity unconditionally.
+    /// A ring-buffer sink of the given capacity. Zero capacity yields
+    /// the no-op sink, so callers configure capacity unconditionally.
     #[must_use]
     pub fn ring(capacity: usize) -> EventSink {
-        #[cfg(feature = "ring")]
-        {
-            if capacity > 0 {
-                return EventSink::Ring(RingBuffer::new(capacity));
-            }
+        if capacity > 0 {
+            EventSink::Ring(RingBuffer::new(capacity))
+        } else {
+            EventSink::Noop
         }
-        let _ = capacity;
-        EventSink::Noop
     }
 
     /// Whether recording does anything.
@@ -148,7 +139,6 @@ impl EventSink {
     pub fn record(&mut self, event: TelemetryEvent) {
         match self {
             EventSink::Noop => {}
-            #[cfg(feature = "ring")]
             EventSink::Ring(ring) => ring.push(event),
         }
     }
@@ -200,7 +190,6 @@ impl EventSink {
     pub fn events(&self) -> Vec<TelemetryEvent> {
         match self {
             EventSink::Noop => Vec::new(),
-            #[cfg(feature = "ring")]
             EventSink::Ring(ring) => ring.to_vec(),
         }
     }
@@ -210,7 +199,6 @@ impl EventSink {
     pub fn dropped(&self) -> u64 {
         match self {
             EventSink::Noop => 0,
-            #[cfg(feature = "ring")]
             EventSink::Ring(ring) => ring.dropped(),
         }
     }
@@ -247,7 +235,6 @@ mod tests {
         assert!(!sink.is_enabled());
     }
 
-    #[cfg(feature = "ring")]
     #[test]
     fn ring_sink_retains_spans_and_counters() {
         let mut sink = EventSink::ring(16);
@@ -268,7 +255,6 @@ mod tests {
         assert_eq!(events[1].trace_id(), Some(TraceId(9)));
     }
 
-    #[cfg(feature = "ring")]
     #[test]
     fn ring_evicts_oldest_and_counts_drops() {
         let mut ring = RingBuffer::new(3);
@@ -281,14 +267,12 @@ mod tests {
         assert_eq!(stamps, vec![2, 3, 4], "oldest-first order after wrap");
     }
 
-    #[cfg(feature = "ring")]
     #[test]
     #[should_panic(expected = "positive capacity")]
     fn ring_buffer_rejects_zero_capacity() {
         let _ = RingBuffer::new(0);
     }
 
-    #[cfg(feature = "ring")]
     #[test]
     fn span_timer_from_disabled_sink_is_inert_on_live_sink() {
         let mut live = EventSink::ring(4);
