@@ -28,11 +28,11 @@ fn task() -> DagTask {
     DagTask::sequential(Ticks::new(1), Ticks::new(4), Ticks::new(8)).expect("valid task")
 }
 
-/// Spawns `fedsched serve -m 8 --addr 127.0.0.1:0 --workers 4
-/// --data-dir <dir>` and parses the bound address from the startup
-/// banner on stderr. Four dispatch workers race their decisions into the
-/// WAL sequencer under the crash, where recovery must still replay
-/// acknowledged decisions in ack order.
+/// Spawns `fedsched serve -m 8 --addr 127.0.0.1:0 --workers 4 --fsync
+/// every --data-dir <dir>` and parses the bound address from the startup
+/// banner on stderr. The burst drives one client, so decisions reach the
+/// WAL one at a time; concurrent durable writers are covered in-process
+/// by `crates/service/tests/wal_order.rs`.
 fn spawn_server(dir: &Path) -> (Child, String) {
     let mut child = Command::new(BIN)
         .args([

@@ -208,7 +208,10 @@ impl DurableStore {
         let seq = self.last_snapshot_seq + 1;
         write_snapshot(&self.config.dir, seq, state)?;
         self.wal.append(&LogRecord::SnapshotMarker { seq })?;
-        self.wal.sync()?;
+        // `append` already synced under `every`; one fsync per marker.
+        if self.wal.is_dirty() {
+            self.wal.sync()?;
+        }
         // Older snapshots are redundant now — the log retains everything
         // since its beginning, so even losing this new snapshot only costs
         // replay time, never data.
@@ -280,9 +283,9 @@ impl DurableStore {
     }
 
     /// How long until the interval fsync policy owes the WAL a sync; see
-    /// [`WalWriter::sync_due`]. The server's WAL sequencer uses this as
-    /// its idle-tick timeout so a quiet log never holds acked-but-unsynced
-    /// frames longer than the interval.
+    /// [`WalWriter::sync_due`]. Under an interval policy the server's WAL
+    /// flusher parks this long, so a quiet log never holds
+    /// acked-but-unsynced frames longer than the interval.
     #[must_use]
     pub fn sync_due(&self) -> Option<Duration> {
         self.wal.sync_due()
@@ -420,6 +423,27 @@ mod tests {
         assert_eq!(recovered.suffix, vec![depart(3)]);
         assert_eq!(store.last_snapshot_seq(), 1);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_snapshot_marker_costs_one_fsync_whatever_the_policy() {
+        for fsync in [FsyncPolicy::Every, FsyncPolicy::Never] {
+            let dir = tmpdir(&format!("marker-fsync-{fsync:?}"));
+            let (mut store, _) = DurableStore::open(StoreConfig {
+                fsync,
+                ..config(&dir)
+            })
+            .unwrap();
+            store.append(&depart(1)).unwrap();
+            let before = store.wal_stats().fsyncs;
+            store.install_snapshot(&state(2)).unwrap();
+            assert_eq!(
+                store.wal_stats().fsyncs,
+                before + 1,
+                "{fsync:?}: the marker is synced once, whatever the policy"
+            );
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

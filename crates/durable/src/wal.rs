@@ -26,8 +26,9 @@ pub enum FsyncPolicy {
     /// `fsync` after every appended record: an acknowledged decision can
     /// never be lost, at the cost of one disk sync per decision.
     Every,
-    /// `fsync` at most once per interval (checked on append): bounds loss
-    /// to the decisions of the last interval.
+    /// `fsync` at most once per interval: bounds loss to the decisions of
+    /// the last interval. An append checks the deadline itself; an owner
+    /// pays it on a quiet log with [`WalWriter::sync_if_due`].
     Interval(Duration),
     /// Never `fsync` explicitly; the OS flushes on its own schedule.
     /// Survives process crashes (the page cache persists) but not power

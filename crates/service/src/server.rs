@@ -21,8 +21,8 @@
 //! # The connection plane
 //!
 //! The server runs [`ServerConfig::workers`] acceptors, one reactor, a
-//! dispatch pool of `workers` threads and, with durability only, the WAL
-//! sequencer:
+//! dispatch pool of `workers` threads and, under an interval fsync policy
+//! only, the WAL flusher:
 //!
 //! * **One gate** — every connection holds a permit of one gate sized
 //!   [`ConnectionLimits::max_connections`], so `Busy` means exactly that
@@ -39,14 +39,13 @@
 //!   high-density task inline on a miss, under the lock, beside the
 //!   first-fit suffix replay a low-density admit already runs there; a
 //!   hit costs one lookup, and a low-density admit touches no cache.
-//! * **One WAL sequencer** — durable decisions are sequenced by a single
-//!   background thread: dispatch workers enqueue their log records *while
-//!   still holding the state lock* (so WAL order equals decision order,
-//!   with a monotonic sequence number attached in memory), then wait for
-//!   the sequencer's acknowledgement off-lock. No fsync ever executes
-//!   under any admission lock, and the sequencer doubles as the idle-WAL
-//!   flusher: an interval fsync policy is paid from its timer tick even
-//!   when no request arrives.
+//! * **Each decider journals its own decision** — the dispatch worker or
+//!   session that decides a request takes the WAL's store lock *before*
+//!   it releases the ledger lock, then appends and fsyncs with only the
+//!   store lock held. WAL order is decision order by construction, no
+//!   fsync runs under the ledger lock, and one decision's fsync overlaps
+//!   the next decision's analysis. Under `--fsync interval:<ms>` a
+//!   flusher thread pays a due sync even when no request arrives.
 //!
 //! Every served connection runs under the deadlines and caps of
 //! [`ConnectionLimits`]:
@@ -76,7 +75,6 @@
 //! counted lock-free in [`TransportCounters`] and surfaced both in the
 //! Prometheus exposition and on the telemetry event bus.
 
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -86,7 +84,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fedsched_durable::{
-    list_snapshots, load_snapshot, DurableStore, LogRecord, StoreConfig, FORMAT_VERSION,
+    list_snapshots, load_snapshot, DurableStore, LogRecord, StoreConfig, WalStats, FORMAT_VERSION,
 };
 use fedsched_telemetry::{monotonic_nanos, CounterKind, SpanPhase, TelemetryEvent, TraceId};
 
@@ -488,311 +486,127 @@ impl ReactorCounters {
     }
 }
 
-/// A one-shot completion slot: a dispatch worker parks on it until the WAL
-/// sequencer acknowledges (or fails) its append.
-#[derive(Debug, Default)]
-struct AckSlot {
-    done: Mutex<Option<io::Result<()>>>,
-    cond: Condvar,
-}
-
-impl AckSlot {
-    fn complete(&self, result: io::Result<()>) {
-        let mut done = self
-            .done
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        *done = Some(result);
-        self.cond.notify_all();
-    }
-
-    fn wait(&self) -> io::Result<()> {
-        let mut done = self
-            .done
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        loop {
-            if let Some(result) = done.take() {
-                return result;
-            }
-            done = self
-                .cond
-                .wait(done)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-}
-
-/// One decision's log records in flight to the sequencer. The monotonic
-/// sequence number exists in memory only — the WAL wire format is
-/// unchanged, because the sequencer appends in sequence order and order
-/// *is* the replay contract.
-#[derive(Debug)]
-struct SeqItem {
-    seq: u64,
-    records: Vec<LogRecord>,
-    ack: Arc<AckSlot>,
-}
-
-#[derive(Debug)]
-struct SeqQueue {
-    items: VecDeque<SeqItem>,
-    /// A drained batch is being appended: `flush` must keep waiting even
-    /// though `items` is momentarily empty.
-    busy: bool,
-}
-
-/// The single WAL sequencer shared by the dispatch pool. Producers enqueue
-/// *while holding the state lock* — so queue order, sequence numbers,
-/// and decision order all coincide — and the sequencer thread appends,
-/// acknowledges, and maintains the WAL telemetry counters off every
-/// admission lock. Lock order is acyclic: `state → queue → store`,
-/// and a lock earlier in that chain is never acquired while holding a
-/// later one.
-#[derive(Debug)]
-pub(crate) struct WalSequencer {
-    queue: Mutex<SeqQueue>,
-    nonempty: Condvar,
-    empty: Condvar,
-    stop: AtomicBool,
-    next_seq: AtomicU64,
-}
-
-impl WalSequencer {
-    fn new() -> WalSequencer {
-        WalSequencer {
-            queue: Mutex::new(SeqQueue {
-                items: VecDeque::new(),
-                busy: false,
-            }),
-            nonempty: Condvar::new(),
-            empty: Condvar::new(),
-            stop: AtomicBool::new(false),
-            next_seq: AtomicU64::new(0),
-        }
-    }
-
-    fn lock_queue(&self) -> MutexGuard<'_, SeqQueue> {
-        self.queue
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Enqueues one decision's records. Must be called with the state
-    /// lock held — that is what serializes sequence numbers against
-    /// decision order. Returns the slot to park on *after* releasing the
-    /// state lock.
-    fn enqueue(&self, records: Vec<LogRecord>) -> Arc<AckSlot> {
-        let ack = Arc::new(AckSlot::default());
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let mut queue = self.lock_queue();
-        queue.items.push_back(SeqItem {
-            seq,
-            records,
-            ack: Arc::clone(&ack),
-        });
-        self.nonempty.notify_one();
-        ack
-    }
-
-    /// Blocks until every enqueued record has been appended and
-    /// acknowledged (used by the `Shutdown` request before it answers).
-    fn flush(&self) {
-        let mut queue = self.lock_queue();
-        while !queue.items.is_empty() || queue.busy {
-            let (guard, _) = self
-                .empty
-                .wait_timeout(queue, Duration::from_millis(50))
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            queue = guard;
-        }
-    }
-
-    /// Asks the sequencer thread to drain the queue, sync, and exit.
-    fn shutdown(&self) {
-        self.stop.store(true, Ordering::Release);
-        self.nonempty.notify_all();
-    }
-}
-
-/// How often the idle sequencer wakes to re-check the stop flag and any
-/// due interval fsync.
-const SEQUENCER_IDLE_TICK: Duration = Duration::from_millis(200);
-
-/// What woke the sequencer.
-#[derive(Debug)]
-enum Wake {
-    Batch(Vec<SeqItem>),
-    SyncDue,
-    Stopped,
-}
-
-/// The sequencer thread: drains decision batches into the WAL, pays due
-/// interval fsyncs while idle, and on stop syncs whatever the policy
-/// left buffered so an orderly exit never strands acked bytes.
-fn sequencer_loop(seq: &WalSequencer, journal: &Journal, state: &Mutex<AdmissionState>) {
-    loop {
-        let wake = {
-            let mut queue = seq.lock_queue();
-            loop {
-                if !queue.items.is_empty() {
-                    queue.busy = true;
-                    break Wake::Batch(queue.items.drain(..).collect());
-                }
-                if seq.stop.load(Ordering::Acquire) {
-                    break Wake::Stopped;
-                }
-                // Holding queue → acquiring store is within the lock
-                // order; producers take state → queue and never store.
-                let due = journal.lock().sync_due();
-                if due == Some(Duration::ZERO) {
-                    break Wake::SyncDue;
-                }
-                let wait = due.unwrap_or(SEQUENCER_IDLE_TICK).min(SEQUENCER_IDLE_TICK);
-                let (guard, _) = seq
-                    .nonempty
-                    .wait_timeout(queue, wait)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                queue = guard;
-            }
-        };
-        match wake {
-            Wake::Batch(batch) => process_batch(seq, journal, state, batch),
-            Wake::SyncDue => {
-                // The fix for the idle-WAL hole: an interval policy's
-                // deadline is honored from this timer tick, not from the
-                // next (possibly never-arriving) append.
-                let synced = journal.lock().sync_if_due();
-                if matches!(synced, Ok(true)) {
-                    lock(state).add_counter(CounterKind::WalFsync, 1);
-                }
-            }
-            Wake::Stopped => {
-                let _ = journal.lock().sync();
-                return;
-            }
-        }
-    }
-}
-
-/// Appends one decision's records, stopping at (and reporting) the first
-/// failure so only that request is refused an acknowledgement.
-fn append_item(store: &mut DurableStore, item: &SeqItem, appended: &mut u64) -> io::Result<()> {
-    for record in &item.records {
-        if let Err(e) = store.append(record) {
-            eprintln!("fedsched-wal-append-error seq={}: {e}", item.seq);
-            return Err(e);
-        }
-        *appended += 1;
-    }
-    Ok(())
-}
-
-/// Appends a drained batch under one store acquisition, acknowledges
-/// every item, then banks the WAL telemetry deltas — and, when a
-/// snapshot threshold was crossed, installs a snapshot that provably
-/// covers the WAL prefix.
-fn process_batch(
-    seq: &WalSequencer,
+/// Journals one decision's `records` and returns how long the append
+/// took and whether it succeeded.
+///
+/// The store lock is taken while `guard` still holds the ledger, and only
+/// then is the ledger released (hand-over-hand), so WAL order is decision
+/// order. The append, and any fsync the policy asks for, runs under the
+/// store lock alone, overlapping the next decision's analysis. A failed
+/// append stops at the failing record, so only this request is refused an
+/// acknowledgement.
+///
+/// The ledger is then taken once more to bank the `wal_*` counters,
+/// record the `WalAppend` span when `traced` and the sink is on, and,
+/// when a snapshot threshold was crossed, install a snapshot under both
+/// locks. Every decider holds the store before it releases the ledger, so
+/// with both held the WAL holds exactly the decisions the state reflects.
+/// The returned nanoseconds run from the wait for the store lock to the
+/// end of the append.
+fn journal_decision(
+    shared: &Shared,
     journal: &Journal,
-    state: &Mutex<AdmissionState>,
-    batch: Vec<SeqItem>,
-) {
-    let mut results: Vec<io::Result<()>> = Vec::with_capacity(batch.len());
+    guard: MutexGuard<'_, AdmissionState>,
+    records: &[LogRecord],
+    trace_id: Option<u64>,
+    traced: bool,
+) -> (u64, io::Result<()>) {
+    let wal_start = monotonic_nanos();
+    let mut store = journal.lock();
+    drop(guard);
+    let before = store.wal_stats();
     let mut appended = 0u64;
-    let (bytes_delta, fsync_delta, should_snapshot) = {
-        let mut store = journal.lock();
-        let before = store.wal_stats();
-        let mut last_seq = None;
-        for item in &batch {
-            debug_assert!(
-                last_seq.is_none_or(|prev| item.seq > prev),
-                "sequencer batch out of decision order"
-            );
-            last_seq = Some(item.seq);
-            results.push(append_item(&mut store, item, &mut appended));
-        }
-        let after = store.wal_stats();
-        (
-            after.bytes_appended - before.bytes_appended,
-            after.fsyncs - before.fsyncs,
-            store.should_snapshot(),
-        )
-    };
-    // Ack with the store lock released: the parked workers only need
-    // the append results.
-    for (item, result) in batch.iter().zip(results) {
-        item.ack.complete(result);
+    let result = records.iter().try_for_each(|record| {
+        store.append(record)?;
+        appended += 1;
+        Ok(())
+    });
+    let wal_end = monotonic_nanos();
+    let after = store.wal_stats();
+    let should_snapshot = store.should_snapshot();
+    drop(store);
+    if let Err(e) = &result {
+        eprintln!("fedsched-wal-append-error: {e}");
     }
-    // WAL telemetry counters live behind the state lock, taken only now
-    // that the store lock is free (acyclic order, see WalSequencer).
-    let mut guard = lock(state);
-    if appended > 0 {
-        guard.add_counter(CounterKind::WalRecordAppended, appended);
-    }
-    if bytes_delta > 0 {
-        guard.add_counter(CounterKind::WalBytesWritten, bytes_delta);
-    }
-    if fsync_delta > 0 {
-        guard.add_counter(CounterKind::WalFsync, fsync_delta);
+    let mut guard = lock(&shared.state);
+    bank_wal_counters(&mut guard, appended, before, after);
+    if traced && guard.sink.is_enabled() {
+        guard.sink.record(TelemetryEvent::Span {
+            trace_id: trace_id.map(TraceId),
+            phase: SpanPhase::WalAppend,
+            start_nanos: wal_start,
+            end_nanos: wal_end,
+        });
     }
     if should_snapshot {
-        snapshot_with_stragglers(seq, journal, &mut guard);
+        let mut store = journal.lock();
+        // A concurrent decider may have crossed the same threshold and
+        // installed the snapshot first.
+        if store.should_snapshot() {
+            let before = store.wal_stats();
+            let installed = store.install_snapshot(&guard.export());
+            bank_wal_counters(&mut guard, 0, before, store.wal_stats());
+            match installed {
+                Ok(_) => guard.add_counter(CounterKind::WalSnapshotWritten, 1),
+                // Non-fatal: decisions are acked from the WAL, not the
+                // snapshot; the next threshold crossing retries.
+                Err(e) => eprintln!("fedsched-wal-snapshot-error: {e}"),
+            }
+        }
     }
-    drop(guard);
-    let mut queue = seq.lock_queue();
-    queue.busy = false;
-    seq.empty.notify_all();
+    (wal_end.saturating_sub(wal_start), result)
 }
 
-/// Installs a snapshot at an exact WAL prefix: with the state lock held
-/// (producers sequence their records under it, so none can enqueue),
-/// any straggler decisions already queued are appended first, then the
-/// snapshot is cut from the very state those records produced.
-fn snapshot_with_stragglers(seq: &WalSequencer, journal: &Journal, guard: &mut AdmissionState) {
-    let stragglers: Vec<SeqItem> = seq.lock_queue().items.drain(..).collect();
-    let mut results: Vec<io::Result<()>> = Vec::with_capacity(stragglers.len());
-    let mut appended = 0u64;
-    let (bytes_delta, fsync_delta, installed) = {
-        let mut store = journal.lock();
-        let before = store.wal_stats();
-        for item in &stragglers {
-            results.push(append_item(&mut store, item, &mut appended));
-        }
-        let installed = store.install_snapshot(&guard.export());
-        let after = store.wal_stats();
+/// Banks the WAL's cost between two readings of its stats on the
+/// telemetry counters: `records` decision records (a snapshot marker is
+/// not one), and the bytes and fsyncs the store counted.
+fn bank_wal_counters(guard: &mut AdmissionState, records: u64, before: WalStats, after: WalStats) {
+    for (kind, delta) in [
+        (CounterKind::WalRecordAppended, records),
         (
+            CounterKind::WalBytesWritten,
             after.bytes_appended - before.bytes_appended,
-            after.fsyncs - before.fsyncs,
-            installed,
-        )
+        ),
+        (CounterKind::WalFsync, after.fsyncs - before.fsyncs),
+    ] {
+        if delta > 0 {
+            guard.add_counter(kind, delta);
+        }
+    }
+}
+
+/// The WAL flusher's body, spawned only under an interval fsync policy.
+/// An append pays a due sync itself, but a quiet log gets no next append:
+/// the flusher parks until the policy owes the log a sync, then pays it.
+/// A clean log owes nothing, so the flusher parks one interval; a frame
+/// appended meanwhile still waits at most that long, since an append that
+/// finds the last sync an interval old syncs itself. [`ServerHandle::join`]
+/// unparks the flusher to exit.
+fn flusher_loop(shared: &Shared, interval: Duration) {
+    let Some(journal) = &shared.journal else {
+        return;
     };
-    for (item, result) in stragglers.iter().zip(results) {
-        item.ack.complete(result);
-    }
-    if appended > 0 {
-        guard.add_counter(CounterKind::WalRecordAppended, appended);
-    }
-    if bytes_delta > 0 {
-        guard.add_counter(CounterKind::WalBytesWritten, bytes_delta);
-    }
-    if fsync_delta > 0 {
-        guard.add_counter(CounterKind::WalFsync, fsync_delta);
-    }
-    match installed {
-        Ok(_) => guard.add_counter(CounterKind::WalSnapshotWritten, 1),
-        // Non-fatal: decisions are acked from the WAL, not the snapshot;
-        // the next threshold crossing retries.
-        Err(e) => eprintln!("fedsched-wal-snapshot-error: {e}"),
+    while !shared.shutdown.load(Ordering::Acquire) {
+        let (synced, due) = {
+            let mut store = journal.lock();
+            (store.sync_if_due(), store.sync_due())
+        };
+        if matches!(synced, Ok(true)) {
+            lock(&shared.state).add_counter(CounterKind::WalFsync, 1);
+        }
+        // A failed sync leaves the deadline expired: retry after one
+        // interval, not in a spin.
+        std::thread::park_timeout(due.filter(|d| !d.is_zero()).unwrap_or(interval));
     }
 }
 
 /// The open durable store plus what boot recovery found in it.
 ///
-/// The store sits behind its own mutex, last in the acyclic lock order
-/// `state → queue → store`: the sequencer appends with no admission
-/// lock held (order is already fixed by the queue), and metrics or the
-/// final sync take it alone.
+/// The store sits behind its own mutex, after the ledger in the lock
+/// order `state → store`: a decider takes the store while it still holds
+/// the ledger (see [`journal_decision`]), and nothing that holds the
+/// store ever waits for the ledger. Metrics and the flusher take the
+/// store alone.
 #[derive(Debug)]
 pub(crate) struct Journal {
     store: Mutex<DurableStore>,
@@ -827,7 +641,6 @@ pub(crate) struct Shared {
     pub(crate) local_addr: SocketAddr,
     pub(crate) workers: usize,
     pub(crate) journal: Option<Journal>,
-    pub(crate) sequencer: Option<WalSequencer>,
     pub(crate) stages: Arc<StageCounters>,
 }
 
@@ -851,7 +664,7 @@ pub struct ServerHandle {
     acceptors: Vec<JoinHandle<()>>,
     reactor: JoinHandle<()>,
     dispatchers: Vec<JoinHandle<()>>,
-    sequencer: Option<JoinHandle<()>>,
+    flusher: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -964,12 +777,9 @@ impl ServerHandle {
         for thread in self.dispatchers {
             let _ = thread.join();
         }
-        // With the dispatch pool gone nothing enqueues; the sequencer
-        // drains its queue, syncs, and exits.
-        if let Some(sequencer) = &shared.sequencer {
-            sequencer.shutdown();
-        }
-        if let Some(thread) = self.sequencer {
+        // The shutdown flag is set; wake the flusher to observe it.
+        if let Some(thread) = self.flusher {
+            thread.thread().unpark();
             let _ = thread.join();
         }
         // Whatever the fsync policy, leave nothing in the page cache on
@@ -1062,18 +872,19 @@ pub fn serve(config: &ServerConfig) -> io::Result<ServerHandle> {
         listener,
         local_addr,
         workers,
-        sequencer: journal.as_ref().map(|_| WalSequencer::new()),
         journal,
         stages: Arc::new(StageCounters::default()),
     });
-    let sequencer = match shared.journal {
-        Some(_) => Some(spawn(
-            &shared,
-            "fedsched-wal-sequencer".to_owned(),
-            run_sequencer,
-        )?),
-        None => None,
-    };
+    let flusher = shared
+        .journal
+        .as_ref()
+        .and_then(|journal| journal.lock().fsync_interval())
+        .map(|interval| {
+            spawn(&shared, "fedsched-wal-flusher".to_owned(), move |shared| {
+                flusher_loop(shared, interval);
+            })
+        })
+        .transpose()?;
     let reactor = spawn(&shared, "fedsched-reactor".to_owned(), reactor_loop)?;
     let dispatchers = (0..workers)
         .map(|i| spawn(&shared, format!("fedsched-dispatch-{i}"), dispatch_loop))
@@ -1087,7 +898,7 @@ pub fn serve(config: &ServerConfig) -> io::Result<ServerHandle> {
         acceptors,
         reactor,
         dispatchers,
-        sequencer,
+        flusher,
     })
 }
 
@@ -1101,13 +912,6 @@ fn spawn(
     std::thread::Builder::new()
         .name(name)
         .spawn(move || body(&shared))
-}
-
-/// The WAL sequencer thread's body (spawned only with durability).
-fn run_sequencer(shared: &Shared) {
-    if let (Some(sequencer), Some(journal)) = (&shared.sequencer, &shared.journal) {
-        sequencer_loop(sequencer, journal, &shared.state);
-    }
 }
 
 /// One dispatch-pool worker: pops decoded frames, runs the request loop
@@ -1352,37 +1156,10 @@ fn emit_request_spans(guard: &mut AdmissionState, trace_id: Option<u64>, timer: 
     }
 }
 
-/// Waits for a decision's WAL acknowledgement (none without
-/// durability), recording the wait as a `WalAppend` span when
-/// `record_span` is set. Returns the nanoseconds waited and the append's
-/// result.
-fn await_ack(
-    shared: &Shared,
-    ack: Option<Arc<AckSlot>>,
-    trace_id: Option<u64>,
-    record_span: bool,
-) -> (u64, io::Result<()>) {
-    let Some(ack) = ack else {
-        return (0, Ok(()));
-    };
-    let wal_start = monotonic_nanos();
-    let appended = ack.wait();
-    let wal_end = monotonic_nanos();
-    if record_span {
-        lock(&shared.state).sink.record(TelemetryEvent::Span {
-            trace_id: trace_id.map(TraceId),
-            phase: SpanPhase::WalAppend,
-            start_nanos: wal_start,
-            end_nanos: wal_end,
-        });
-    }
-    (wal_end.saturating_sub(wal_start), appended)
-}
-
 /// Maps one request to its response against the shared state, crediting
 /// the dispatch interval to the cache-lookup / analysis / WAL-append
 /// stages of `timer` on the way out. Analysis runs under the state lock;
-/// the WAL append and fsync never do.
+/// the WAL append and fsync never do (see [`journal_decision`]).
 pub(crate) fn dispatch(request: Request, shared: &Shared, timer: &mut StageTimer) -> Response {
     let state = &shared.state;
     match request {
@@ -1392,7 +1169,10 @@ pub(crate) fn dispatch(request: Request, shared: &Shared, timer: &mut StageTimer
             echo_timing,
         } => {
             let mut guard = lock(state);
-            let journaled = shared.sequencer.is_some().then(|| task.clone());
+            let journaled = shared
+                .journal
+                .as_ref()
+                .map(|journal| (journal, task.clone()));
             let misses_before = guard.cache.misses();
             let hits_before = guard.cache.hits();
             let sizing_before = guard.probe.sizing_nanos;
@@ -1404,18 +1184,17 @@ pub(crate) fn dispatch(request: Request, shared: &Shared, timer: &mut StageTimer
             } else {
                 0
             };
-            let ack = journaled.map(|task| {
-                let records = admit_records(&guard, &task, &result, misses_before, hits_before);
-                shared
-                    .sequencer
-                    .as_ref()
-                    .expect("journaled implies a sequencer")
-                    .enqueue(records)
-            });
             emit_request_spans(&mut guard, trace_id, timer);
-            let sink_enabled = guard.sink.is_enabled();
-            drop(guard);
-            let (wal_ns, appended) = await_ack(shared, ack, trace_id, sink_enabled);
+            let (wal_ns, appended) = match journaled {
+                Some((journal, task)) => {
+                    let records = admit_records(&guard, &task, &result, misses_before, hits_before);
+                    journal_decision(shared, journal, guard, &records, trace_id, true)
+                }
+                None => {
+                    drop(guard);
+                    (0, Ok(()))
+                }
+            };
             timer.stamp_dispatch(cache_ns, wal_ns);
             if let Err(e) = appended {
                 return journal_error(&e);
@@ -1441,12 +1220,16 @@ pub(crate) fn dispatch(request: Request, shared: &Shared, timer: &mut StageTimer
             let anomalies_before = guard.stats.remove_anomalies;
             match guard.remove(token) {
                 Ok(removed) => {
-                    let ack = shared.sequencer.as_ref().map(|sequencer| {
-                        let record = remove_record(&guard, token, anomalies_before);
-                        sequencer.enqueue(vec![record])
-                    });
-                    drop(guard);
-                    let (wal_ns, appended) = await_ack(shared, ack, None, false);
+                    let (wal_ns, appended) = match &shared.journal {
+                        Some(journal) => {
+                            let record = remove_record(&guard, token, anomalies_before);
+                            journal_decision(shared, journal, guard, &[record], None, false)
+                        }
+                        None => {
+                            drop(guard);
+                            (0, Ok(()))
+                        }
+                    };
                     timer.stamp_dispatch(0, wal_ns);
                     if let Err(e) = appended {
                         return journal_error(&e);
@@ -1486,13 +1269,11 @@ pub(crate) fn dispatch(request: Request, shared: &Shared, timer: &mut StageTimer
             response
         }
         Request::Shutdown => {
-            // Flush the tail before acknowledging, whatever the policy:
-            // first every sequenced-but-unappended decision, then the
-            // page cache.
-            if let Some(sequencer) = &shared.sequencer {
-                sequencer.flush();
-            }
+            // Sync the tail before acknowledging, whatever the policy.
+            // Taking the ledger first waits out every decider mid-append:
+            // each took the store before releasing the ledger.
             if let Some(journal) = &shared.journal {
+                let _ledger = lock(state);
                 let _ = journal.lock().sync();
             }
             timer.stamp_dispatch(0, 0);
@@ -1630,40 +1411,6 @@ mod tests {
             "a hit's sizing interval is the cache probe"
         );
         handle.shutdown();
-    }
-
-    #[test]
-    fn ack_slot_delivers_the_result_across_threads() {
-        let slot = Arc::new(AckSlot::default());
-        let waiter = {
-            let slot = Arc::clone(&slot);
-            std::thread::spawn(move || slot.wait())
-        };
-        std::thread::sleep(Duration::from_millis(10));
-        slot.complete(Err(io::Error::other("disk gone")));
-        let result = waiter.join().expect("waiter thread");
-        assert_eq!(result.unwrap_err().to_string(), "disk gone");
-    }
-
-    #[test]
-    fn sequencer_flush_returns_once_idle_and_orders_enqueues() {
-        let seq = WalSequencer::new();
-        seq.flush(); // empty and not busy: immediate
-        let a = seq.enqueue(Vec::new());
-        let b = seq.enqueue(Vec::new());
-        {
-            let queue = seq.lock_queue();
-            let seqs: Vec<u64> = queue.items.iter().map(|i| i.seq).collect();
-            assert_eq!(seqs, vec![0, 1], "sequence numbers follow enqueue order");
-        }
-        // Drain as the sequencer thread would, then ack.
-        let items: Vec<SeqItem> = seq.lock_queue().items.drain(..).collect();
-        for item in &items {
-            item.ack.complete(Ok(()));
-        }
-        assert!(a.wait().is_ok());
-        assert!(b.wait().is_ok());
-        seq.flush();
     }
 
     #[test]

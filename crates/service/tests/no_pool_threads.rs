@@ -4,22 +4,25 @@
 //! `worksteal-*` pool worker, whatever `FEDSCHED_THREADS` says.
 //!
 //! The same census counts the server's own crew: one reactor, `workers`
-//! acceptors, `workers` dispatch workers, and no WAL sequencer without a
-//! data directory.
+//! acceptors and `workers` dispatch workers, plus one WAL thread, the
+//! flusher, only for a durable server under `--fsync interval:<ms>`. The
+//! dispatch workers journal their own decisions, so a memory-only server
+//! and a durable one under `--fsync every` start no WAL thread at all.
 //!
 //! The `fedsched-parallel` pool is built lazily, once per process, and its
 //! workers live as long as the process does. This binary therefore holds
 //! exactly one test: another test that built the pool would leave its
 //! workers behind, and another server would add its threads to the
-//! census.
+//! census; its servers run one at a time.
 
 use fedsched_core::fedcons::{fedcons, FedConsConfig};
 use fedsched_dag::graph::DagBuilder;
 use fedsched_dag::system::TaskSystem;
 use fedsched_dag::task::DagTask;
 use fedsched_dag::time::Duration;
+use fedsched_durable::{FsyncPolicy, StoreConfig};
 use fedsched_service::protocol::{Placement, Request, Response};
-use fedsched_service::{serve, AdmissionConfig, ConnectionLimits, ServerConfig};
+use fedsched_service::{serve, AdmissionConfig, ConnectionLimits, ServerConfig, ServerHandle};
 
 /// Acceptor threads of the server under test, and so dispatch workers.
 const WORKERS: usize = 2;
@@ -60,13 +63,47 @@ fn census() -> ([usize; 4], Vec<String>) {
         count("fedsched-reacto"),
         count("fedsched-accept"),
         count("fedsched-dispat"),
-        count("fedsched-wal-se"),
+        count("fedsched-wal-"),
     ];
     let pool = names
         .into_iter()
         .filter(|n| n.starts_with("worksteal-"))
         .collect();
     (crew, pool)
+}
+
+/// A server of the census's shape, durable when given a store.
+fn start(durability: Option<StoreConfig>) -> ServerHandle {
+    serve(&ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: WORKERS,
+        admission: AdmissionConfig::new(16),
+        limits: ConnectionLimits::default(),
+        durability,
+        handoff_from: None,
+    })
+    .expect("bind loopback")
+}
+
+/// Waits until the census reads `expected` server threads (a thread
+/// takes its name once it starts running, so a freshly spawned one gets a
+/// moment), then asserts it, and that no pool worker exists.
+fn assert_census(expected: [usize; 4]) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    let (crew, pool) = loop {
+        let (crew, pool) = census();
+        if crew == expected || std::time::Instant::now() >= deadline {
+            break (crew, pool);
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    };
+    assert_eq!(
+        crew,
+        expected,
+        "[reactor, acceptors, dispatchers, WAL] threads of {:?}",
+        thread_names()
+    );
+    assert_eq!(pool, Vec::<String>::new());
 }
 
 #[test]
@@ -76,15 +113,7 @@ fn batch_and_cold_admits_spawn_no_pool_workers() {
     assert_eq!(schedule.clusters().len(), 3);
     assert!(schedule.clusters().iter().all(|c| c.processors == 3));
 
-    let handle = serve(&ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: WORKERS,
-        admission: AdmissionConfig::new(16),
-        limits: ConnectionLimits::default(),
-        durability: None,
-        handoff_from: None,
-    })
-    .expect("bind loopback");
+    let handle = start(None);
     let mut session = handle.session();
     for k in 4..=6 {
         let mut line = serde_json::to_string(&Request::Admit {
@@ -110,24 +139,28 @@ fn batch_and_cold_admits_spawn_no_pool_workers() {
         );
     }
 
-    // A thread takes its name once it starts running, so give a freshly
-    // spawned one a moment before reading a wrong census as final.
-    let expected = [1, WORKERS, WORKERS, 0];
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    let (crew, pool) = loop {
-        let (crew, pool) = census();
-        if crew == expected || std::time::Instant::now() >= deadline {
-            break (crew, pool);
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    };
-    assert_eq!(
-        crew,
-        expected,
-        "[reactor, acceptors, dispatchers, WAL sequencer] threads of {:?}",
-        thread_names()
-    );
-    assert_eq!(pool, Vec::<String>::new());
+    assert_census([1, WORKERS, WORKERS, 0]);
     drop(session);
     handle.shutdown();
+
+    // Durable servers, one at a time: only the interval policy owes a
+    // quiet log a timed sync, so only it starts the WAL flusher.
+    for (fsync, wal_threads) in [
+        (FsyncPolicy::Every, 0),
+        (FsyncPolicy::Interval(std::time::Duration::from_secs(1)), 1),
+    ] {
+        let dir = std::env::temp_dir().join(format!(
+            "fedsched-no-pool-{}-{}",
+            wal_threads,
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let handle = start(Some(StoreConfig {
+            fsync,
+            ..StoreConfig::new(&dir)
+        }));
+        assert_census([1, WORKERS, WORKERS, wal_threads]);
+        handle.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

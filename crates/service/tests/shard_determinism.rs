@@ -35,7 +35,7 @@ use std::path::PathBuf;
 use fedsched_dag::graph::DagBuilder;
 use fedsched_dag::task::DagTask;
 use fedsched_dag::time::Duration as Ticks;
-use fedsched_durable::{FsyncPolicy, StoreConfig};
+use fedsched_durable::{FsyncPolicy, StoreConfig, DEFAULT_SNAPSHOT_RECORDS};
 use fedsched_service::protocol::{Request, Response};
 use fedsched_service::{
     serve, AdmissionConfig, ConnectionLimits, ServerConfig, ServerHandle, StatsSnapshot,
@@ -48,7 +48,9 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn start(cache_cap: usize, dir: Option<&PathBuf>) -> ServerHandle {
+/// A server of the suite's shape; with `dir`, durable under `--fsync
+/// every`, installing a snapshot every `snapshot_records` WAL records.
+fn start(cache_cap: usize, dir: Option<&PathBuf>, snapshot_records: u64) -> ServerHandle {
     serve(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
@@ -56,6 +58,7 @@ fn start(cache_cap: usize, dir: Option<&PathBuf>) -> ServerHandle {
         limits: ConnectionLimits::default(),
         durability: dir.map(|dir| StoreConfig {
             fsync: FsyncPolicy::Every,
+            snapshot_every_records: snapshot_records,
             ..StoreConfig::new(dir)
         }),
         handoff_from: None,
@@ -260,7 +263,7 @@ const PINNED_TRANSCRIPT: &str = include_str!("data/shard_transcript_0d5eed01.txt
 /// response lines in request order.
 fn transcript(seed: u64) -> String {
     let dir = scratch_dir(&format!("pinned-{seed:x}"));
-    let handle = start(8, Some(&dir));
+    let handle = start(8, Some(&dir), DEFAULT_SNAPSHOT_RECORDS);
     let addr = handle.local_addr();
     let (responses, snapshot) = drive_tcp(addr, seed, 120);
     shutdown(addr, handle);
@@ -298,11 +301,14 @@ fn the_reactor_over_tcp_and_an_in_process_session_produce_identical_bytes() {
     // One pipeline, two carriers: the same seeded interleaving must
     // yield the same response bytes, the same deterministic stats view,
     // and the same WAL bytes on disk whether it arrives over a socket or
-    // through a session.
+    // through a session. A snapshot every 4 records puts dozens of
+    // snapshot markers in each WAL, so the WAL bytes and
+    // `wal_records_appended` also pin where each marker lands: right
+    // after the decision whose records crossed the threshold.
     type Run = (Vec<String>, String, Vec<u8>);
     let run = |seed: u64, in_process: bool| -> Run {
         let dir = scratch_dir(&format!("carrier-{seed:x}-{in_process}"));
-        let handle = start(8, Some(&dir));
+        let handle = start(8, Some(&dir), 4);
         let (responses, snapshot) = if in_process {
             let driven = drive_session(&handle, seed, 120);
             handle.shutdown();
@@ -315,7 +321,8 @@ fn the_reactor_over_tcp_and_an_in_process_session_produce_identical_bytes() {
         };
         let wal = std::fs::read(dir.join("wal.log")).expect("read wal");
         let _ = std::fs::remove_dir_all(&dir);
-        // Sanity: the interleaving exercised real traffic.
+        // Sanity: the interleaving exercised real traffic and snapshots.
+        assert!(snapshot.durability.snapshots_written > 0);
         assert!(snapshot.admitted_high + snapshot.admitted_low > 0);
         assert!(snapshot.rejected_high + snapshot.rejected_low > 0);
         assert!(snapshot.removed > 0);
@@ -351,7 +358,7 @@ fn the_reactor_over_tcp_and_an_in_process_session_produce_identical_bytes() {
 #[test]
 fn churn_soak_pins_the_template_cache_to_its_cap() {
     let cap = 4usize;
-    let handle = start(cap, None);
+    let handle = start(cap, None, DEFAULT_SNAPSHOT_RECORDS);
     let addr = handle.local_addr();
 
     let stream = TcpStream::connect(addr).expect("connect");
