@@ -715,8 +715,8 @@ pub struct ServeOptions {
     pub exact_partition: bool,
     /// Bind address (e.g. `127.0.0.1:7878`; port 0 picks a free port).
     pub addr: String,
-    /// Acceptor-thread count; the dispatch pool answering requests runs
-    /// as many threads.
+    /// Dispatch-pool width: the threads answering requests. The one
+    /// reactor accepts and multiplexes every connection.
     pub workers: usize,
     /// Capacity bound of the `MINPROCS` template cache (`0` = unbounded).
     /// Part of the durable configuration identity: `recover`/`compact`
@@ -963,7 +963,7 @@ pub fn serve_banner(opts: &ServeOptions, handle: &fedsched_service::ServerHandle
     );
     let _ = writeln!(
         out,
-        "  transport: {} worker(s), telemetry ring {} event(s), io-timeout {}, \
+        "  transport: {} dispatch thread(s), telemetry ring {} event(s), io-timeout {}, \
          idle-strikes {}, max-conns {}, max-frame-bytes {}, max-requests {}",
         opts.workers.max(1),
         opts.telemetry_events,
@@ -1451,7 +1451,7 @@ USAGE:
                     [--handoff-from DIR]
                     # admission server; GET /metrics on the same port;
                     # one epoll loop multiplexes every connection;
-                    # --workers N sets the acceptor and dispatch threads;
+                    # --workers N sets the dispatch threads;
                     # --template-cache-cap bounds the MINPROCS cache
                     # (0 = unbounded) and is part of the durable config;
                     # --io-timeout-ms 0 disables connection deadlines;

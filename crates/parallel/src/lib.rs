@@ -167,10 +167,15 @@ pub fn current() -> Pool {
         .unwrap_or_else(|| global().clone())
 }
 
-/// The width of the [`current`] pool.
+/// The width of the [`current`] pool, without building the global pool:
+/// the innermost [`Pool::install`] on this thread, else the global pool
+/// if it is built, else the width it would be built with.
 #[must_use]
 pub fn width() -> usize {
-    current().width()
+    CURRENT
+        .with(|c| c.borrow().as_ref().map(Pool::width))
+        .or_else(|| GLOBAL.get().map(Pool::width))
+        .unwrap_or_else(resolve_width)
 }
 
 /// [`Pool::par_map`] on the [`current`] pool: applies `f` to every element

@@ -59,10 +59,10 @@ struct Conn {
 /// A connected client. Each method writes one request line and blocks for
 /// the matching response line, within the configured deadlines.
 ///
-/// After any error — IO failure, deadline expiry, or a `Busy` rejection
-/// whose retries are exhausted — the connection is discarded and the
-/// *next* call transparently dials a fresh one, so one incident never
-/// wedges the client.
+/// After any error — IO failure, deadline expiry, a framed
+/// [`Response::Error`], or a `Busy` rejection whose retries are exhausted
+/// — the connection is discarded and the *next* call transparently dials
+/// a fresh one, so one incident never wedges the client.
 #[derive(Debug)]
 pub struct Client {
     addrs: Vec<SocketAddr>,
@@ -193,8 +193,9 @@ impl Client {
     /// A [`Response::Busy`] rejection is retried up to
     /// [`ClientConfig::busy_retries`] times on fresh connections with
     /// jittered exponential backoff; the final `Busy` is returned if the
-    /// server stays saturated. Any error discards the connection, so the
-    /// next call starts on a fresh one.
+    /// server stays saturated. Any error, a framed [`Response::Error`]
+    /// included, discards the connection, so the next call starts on a
+    /// fresh one.
     ///
     /// # Errors
     ///
@@ -215,6 +216,12 @@ impl Client {
                     attempt += 1;
                     self.busy_retry_attempts += 1;
                     std::thread::sleep(pause);
+                }
+                // The server closes the connection after every framed
+                // error but a durability failure, which costs one redial.
+                Ok(response @ Response::Error { .. }) => {
+                    self.conn = None;
+                    return Ok(response);
                 }
                 Ok(response) => return Ok(response),
                 Err(e) => {

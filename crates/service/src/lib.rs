@@ -16,9 +16,9 @@
 //!   keyed by a canonical DAG encoding, so repeated shapes skip the
 //!   expensive List-Scheduling search entirely;
 //! * [`protocol`] — newline-delimited JSON requests and responses;
-//! * [`server`] — acceptor threads sharing one `TcpListener`, one epoll
-//!   reactor multiplexing the connections, a dispatch pool running the
-//!   request pipeline, in-process [`Session`]s on the same
+//! * [`server`] — one epoll reactor accepting and multiplexing every
+//!   connection, a dispatch pool of [`ServerConfig::workers`] threads
+//!   running the request pipeline, in-process [`Session`]s on the same
 //!   pipeline, and the [`ConnectionLimits`] hardening knobs (IO
 //!   deadlines, frame caps, backpressure);
 //! * [`client`] — a blocking client speaking the same protocol, with

@@ -123,11 +123,9 @@ pub(crate) struct Outcome {
     /// Requests answered (the connection's budget advances by this).
     pub(crate) served_delta: u64,
     /// Close after writing `bytes`: an error, a metrics scrape, budget
-    /// exhaustion, or the shutdown drain ended the connection.
+    /// exhaustion, a `Shutdown` request, or the shutdown drain ended the
+    /// connection.
     pub(crate) close: bool,
-    /// This connection's `Shutdown` request flipped the shutdown flag;
-    /// the caller wakes the acceptors and the reactor.
-    pub(crate) triggered_shutdown: bool,
 }
 
 impl Outcome {
@@ -206,6 +204,7 @@ pub(crate) fn process_lines(
                 let stop = matches!(request, Request::Shutdown);
                 if stop {
                     shared.shutdown.store(true, Ordering::Release);
+                    shared.reactor.wake();
                 }
                 let trace_id = match &request {
                     Request::Admit { trace_id, .. } => *trace_id,
@@ -215,7 +214,6 @@ pub(crate) fn process_lines(
                 out.answer(shared, &response, timer, trace_id);
                 if stop {
                     out.close = true;
-                    out.triggered_shutdown = true;
                     return out;
                 }
             }
@@ -235,8 +233,8 @@ pub(crate) fn process_lines(
 /// Bytes handed to [`Session::send`] go through the same frame decoder
 /// and request loop as a socket's, under the same limits, counters, and
 /// WAL — only the socket is missing. Unlike an accepted connection, a
-/// session holds no connection permit and never times out, so it is not
-/// counted in `connections_served`.
+/// session holds no `max_connections` slot and never times out, so it is
+/// not counted in `connections_served`.
 #[derive(Debug)]
 pub struct Session<'a> {
     shared: &'a Shared,
@@ -273,9 +271,6 @@ impl<'a> Session<'a> {
         let outcome = process_lines(self.shared, &frames, self.served, buffered_timer());
         self.served += outcome.served_delta;
         self.closed = outcome.close;
-        if outcome.triggered_shutdown {
-            self.shared.wake_all();
-        }
         outcome.bytes
     }
 

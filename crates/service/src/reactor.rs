@@ -1,5 +1,6 @@
-//! The epoll reactor: one nonblocking event loop multiplexing every
-//! connection — the server's only connection plane.
+//! The epoll reactor: one nonblocking event loop owning the listener and
+//! every connection, from accept to close — the server's only connection
+//! plane.
 //!
 //! # Division of labour
 //!
@@ -8,6 +9,9 @@
 //! `unsafe` lives there, this crate keeps `#![forbid(unsafe_code)]`)
 //! and does only O(bytes) work per wakeup:
 //!
+//! * **accepting**: the nonblocking listener sits in the epoll set. A new
+//!   connection is served while fewer than `max_connections` served
+//!   sockets are open; otherwise it hears a framed `Busy` and closes;
 //! * **framing**: each read goes through the pipeline's frame decoder,
 //!   which keeps an unterminated frame in a per-connection buffer
 //!   bounded by `max_frame_bytes` and splits complete newline-terminated
@@ -17,10 +21,14 @@
 //!   entries are `(token, generation)` pairs revalidated lazily on
 //!   expiry, so resetting a deadline on byte arrival is a field store,
 //!   never a wheel operation;
-//! * an **eventfd wakeup** path ([`ReactorShared`]): acceptors push
-//!   accepted sockets and the dispatch pool pushes finished outcomes into
-//!   a mailbox, then ring the waker so parked connections make progress
-//!   without polling.
+//! * a **lingering close**: after a last line (a `Busy`, a framed
+//!   `Error`, a metrics reply) the socket's write half is shut and what
+//!   the client still sends is drained until EOF, [`LINGER_CAP`] bytes or
+//!   [`LINGER`], so the close cannot reset the connection before the
+//!   client reads that line;
+//! * an **eventfd wakeup** path ([`ReactorShared`]): the dispatch pool
+//!   pushes finished outcomes into a mailbox and rings the waker, and
+//!   shutdown rings it too, so the loop blocks without polling.
 //!
 //! The **dispatch pool** does the admission work. Decoded frames ship to
 //! it as a [`Job`] and are answered by the pipeline's request loop — the
@@ -35,9 +43,9 @@
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -46,12 +54,14 @@ use fedsched_telemetry::CounterKind;
 
 use crate::pipeline::{decode_frames, Frames, Outcome};
 use crate::protocol::{write_message, Response};
-use crate::server::{bump, lock, Permit, Shared, StageTimer};
+use crate::server::{bump, lock, Shared, StageTimer};
 use crate::stats::RequestStage;
 
 /// The eventfd's registration token; connection tokens are slab indices
 /// and can never reach it.
 const WAKER_TOKEN: u64 = u64::MAX;
+/// The listener's registration token.
+const LISTENER_TOKEN: u64 = u64::MAX - 1;
 /// Events drained per `epoll_wait` call.
 const EVENTS_CAPACITY: usize = 1024;
 /// Timer-wheel slots; deadlines further out than the wheel's horizon
@@ -62,6 +72,13 @@ const WHEEL_SLOTS: usize = 64;
 const MIN_TICK: Duration = Duration::from_millis(5);
 /// Bytes taken off a socket per read.
 const READ_CHUNK: usize = 8 * 1024;
+/// The longest a socket lingers after its last line, whatever
+/// `io_timeout` is.
+const LINGER: Duration = Duration::from_millis(100);
+/// Most bytes drained from a lingering socket before it closes.
+const LINGER_CAP: usize = 64 * 1024;
+/// The advisory backoff floor sent with every `Busy` response.
+const BUSY_RETRY_AFTER_MS: u64 = 100;
 
 /// One connection's decoded frames, dispatched off the event loop.
 #[derive(Debug)]
@@ -77,21 +94,12 @@ pub(crate) struct Job {
     pub(crate) timer: StageTimer,
 }
 
-/// Mail for a reactor: a new connection from an acceptor, or a finished
-/// job from the dispatch pool.
-#[derive(Debug)]
-enum Inbound {
-    NewConn(TcpStream, Permit),
-    Outcome(usize, Outcome),
-}
-
-/// The cross-thread half of the reactor: a mailbox plus the eventfd that
-/// wakes the loop when mail arrives.
+/// The cross-thread half of the reactor: the dispatch pool's outcome
+/// mailbox plus the eventfd that wakes the loop for mail or shutdown.
 #[derive(Debug)]
 pub(crate) struct ReactorShared {
-    inbox: Mutex<Vec<Inbound>>,
+    inbox: Mutex<Vec<(usize, Outcome)>>,
     waker: Waker,
-    force: AtomicBool,
 }
 
 impl ReactorShared {
@@ -100,22 +108,16 @@ impl ReactorShared {
         Ok(ReactorShared {
             inbox: Mutex::new(Vec::new()),
             waker: Waker::new()?,
-            force: AtomicBool::new(false),
         })
     }
 
-    fn lock_inbox(&self) -> MutexGuard<'_, Vec<Inbound>> {
+    fn lock_inbox(&self) -> MutexGuard<'_, Vec<(usize, Outcome)>> {
         self.inbox
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn push(&self, mail: Inbound) {
-        self.lock_inbox().push(mail);
-        let _ = self.waker.wake();
-    }
-
-    fn take_inbox(&self) -> Vec<Inbound> {
+    fn take_inbox(&self) -> Vec<(usize, Outcome)> {
         std::mem::take(&mut *self.lock_inbox())
     }
 
@@ -124,21 +126,10 @@ impl ReactorShared {
         let _ = self.waker.wake();
     }
 
-    /// Asks the loop to drop every remaining connection and exit — the
-    /// drain-timeout backstop.
-    pub(crate) fn force_exit(&self) {
-        self.force.store(true, Ordering::Release);
-        let _ = self.waker.wake();
-    }
-
-    /// Hands an accepted connection (and its gate permit) to the loop.
-    pub(crate) fn push_conn(&self, stream: TcpStream, permit: Permit) {
-        self.push(Inbound::NewConn(stream, permit));
-    }
-
     /// Hands a finished job's outcome back to the loop.
     pub(crate) fn push_outcome(&self, token: usize, outcome: Outcome) {
-        self.push(Inbound::Outcome(token, outcome));
+        self.lock_inbox().push((token, outcome));
+        self.wake();
     }
 }
 
@@ -218,15 +209,18 @@ enum ConnState {
     Dispatching,
     /// Flushing response bytes the socket would not take synchronously.
     Writing,
+    /// The last line is flushed and the write half shut: draining what
+    /// the client still sends until the socket closes.
+    Lingering,
 }
 
 /// One multiplexed connection.
 #[derive(Debug)]
 struct Conn {
     stream: TcpStream,
-    /// Held for the connection's lifetime; dropping it releases the
-    /// connection-gate slot.
-    _permit: Permit,
+    /// Answered `Busy` at accept: never served, and holds none of the
+    /// `max_connections` slots.
+    rejected: bool,
     state: ConnState,
     /// The unterminated frame; `len() < max_frame_bytes` always.
     inbuf: Vec<u8>,
@@ -234,7 +228,8 @@ struct Conn {
     outbuf: Vec<u8>,
     outpos: usize,
     /// After the outbuf flushes: `true` returns to [`ConnState::Idle`],
-    /// `false` closes (the outcome or error message said so).
+    /// `false` lingers, then closes (the outcome or error message said
+    /// so).
     resume: bool,
     /// Registered with the poller right now (false while dispatching).
     registered: bool,
@@ -245,6 +240,16 @@ struct Conn {
     /// A wheel entry for this connection exists (deadline changes just
     /// store the field; the stale entry revalidates on expiry).
     in_wheel: bool,
+    /// Bytes discarded while lingering.
+    drained: usize,
+}
+
+impl Conn {
+    /// Whether the `registered_fds` gauge counts this connection while
+    /// its fd is in the epoll set: a served one that is not lingering.
+    fn counted(&self) -> bool {
+        !self.rejected && self.state != ConnState::Lingering
+    }
 }
 
 /// The hashed timer wheel: O(1) arm, O(due) expiry, entries validated
@@ -301,9 +306,11 @@ impl TimerWheel {
     }
 }
 
-/// The event loop. Spawned by `serve` as `fedsched-reactor`.
-pub(crate) fn reactor_loop(shared: &Shared) {
-    match Reactor::new(shared) {
+/// The event loop over `listener`. Spawned by `serve` as
+/// `fedsched-reactor`; it returns once shutdown began and every socket
+/// closed, or the drain deadline passed.
+pub(crate) fn reactor_loop(shared: &Shared, listener: TcpListener) {
+    match Reactor::new(shared, listener) {
         Ok(mut reactor) => {
             if let Err(e) = reactor.run() {
                 eprintln!("fedsched-reactor-error: {e}");
@@ -315,35 +322,54 @@ pub(crate) fn reactor_loop(shared: &Shared) {
 
 struct Reactor<'a> {
     shared: &'a Shared,
+    listener: TcpListener,
     poller: Poller,
     conns: Vec<Option<Conn>>,
-    /// Bumped when a slot is freed, invalidating stale wheel entries.
+    /// Bumped when a slot is freed, invalidating stale wheel and linger
+    /// entries.
     slot_gen: Vec<u64>,
     free: Vec<usize>,
-    active: usize,
+    /// Open served sockets, lingering ones included: each holds one of
+    /// the `max_connections` slots until it closes.
+    served: usize,
+    /// Open rejected sockets.
+    rejected: usize,
+    /// The listener is in the epoll set.
+    listening: bool,
+    /// Set when shutdown is first seen: the drain ends by then.
+    drain_by: Option<Instant>,
     wheel: Option<TimerWheel>,
+    /// `(end, token, generation)` of each lingering socket. Every linger
+    /// lasts [`LINGER`], so push order is end order.
+    lingers: VecDeque<(Instant, usize, u64)>,
 }
 
 impl<'a> Reactor<'a> {
-    fn new(shared: &'a Shared) -> io::Result<Reactor<'a>> {
+    fn new(shared: &'a Shared, listener: TcpListener) -> io::Result<Reactor<'a>> {
         let poller = Poller::new()?;
         poller.add(
             shared.reactor.waker.as_raw_fd(),
             WAKER_TOKEN,
             Interest::READABLE,
         )?;
+        poller.add(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READABLE)?;
         let wheel = shared
             .limits
             .io_timeout
             .map(|t| TimerWheel::new(t, Instant::now()));
         Ok(Reactor {
             shared,
+            listener,
             poller,
             conns: Vec::new(),
             slot_gen: Vec::new(),
             free: Vec::new(),
-            active: 0,
+            served: 0,
+            rejected: 0,
+            listening: true,
+            drain_by: None,
             wheel,
+            lingers: VecDeque::new(),
         })
     }
 
@@ -351,13 +377,7 @@ impl<'a> Reactor<'a> {
         let mut events = Events::with_capacity(EVENTS_CAPACITY);
         let mut due: Vec<(usize, u64)> = Vec::new();
         loop {
-            // Sleep one tick when any deadline is armed, else until mail
-            // arrives (the waker covers shutdown, new sockets, outcomes).
-            let timeout = match &self.wheel {
-                Some(wheel) if wheel.len > 0 => Some(wheel.tick),
-                _ => None,
-            };
-            let n = self.poller.wait(&mut events, timeout)?;
+            let n = self.poller.wait(&mut events, self.timeout())?;
             if n > 0 {
                 bump(&self.shared.reactor_counters.wakeups);
                 self.shared
@@ -365,82 +385,139 @@ impl<'a> Reactor<'a> {
                     .ready_events
                     .fetch_add(n as u64, Ordering::Relaxed);
             }
-            let mut wake_seen = false;
+            let (mut wake_seen, mut accept_ready) = (false, false);
             for event in events.iter() {
-                if event.token == WAKER_TOKEN {
-                    wake_seen = true;
-                    continue;
+                match event.token {
+                    WAKER_TOKEN => wake_seen = true,
+                    LISTENER_TOKEN => accept_ready = true,
+                    token => self.handle_event(token as usize, event.readable, event.writable),
                 }
-                self.handle_event(event.token as usize, event.readable, event.writable);
             }
             if wake_seen {
                 self.shared.reactor.waker.drain();
             }
-            // Mail is processed after the event batch so a slot freed by
-            // an event is never reused while the batch still references
-            // its old occupant.
-            for mail in self.shared.reactor.take_inbox() {
-                match mail {
-                    Inbound::NewConn(stream, permit) => self.register(stream, permit),
-                    Inbound::Outcome(token, outcome) => self.apply_outcome(token, outcome),
+            // Mail and new connections are taken after the event batch,
+            // so a slot freed by an event is never reused while the
+            // batch still references its old occupant.
+            for (token, outcome) in self.shared.reactor.take_inbox() {
+                self.apply_outcome(token, outcome);
+            }
+            if accept_ready {
+                self.accept();
+            }
+            let now = Instant::now();
+            while let Some(&(end, token, gen)) = self.lingers.front() {
+                if end > now {
+                    break;
+                }
+                self.lingers.pop_front();
+                // A slot's generation moves only when it closes, so a
+                // current entry's socket is still lingering.
+                if self.slot_gen[token] == gen {
+                    self.close(token);
                 }
             }
-            if self.wheel.is_some() {
+            if let Some(wheel) = &mut self.wheel {
                 due.clear();
-                let now = Instant::now();
-                if let Some(wheel) = &mut self.wheel {
-                    wheel.advance(now, &mut due);
-                }
+                wheel.advance(now, &mut due);
                 for (token, gen) in due.drain(..) {
                     self.expire(token, gen, now);
                 }
             }
-            if self.shared.reactor.force.load(Ordering::Acquire) {
-                let tokens: Vec<usize> = self.live_tokens();
-                for token in tokens {
-                    self.close(token);
-                }
+            if self.shared.shutdown.load(Ordering::Acquire) && self.drain(now) {
                 return Ok(());
             }
-            if self.shared.shutdown.load(Ordering::Acquire) {
-                // Between-requests connections drain immediately;
-                // dispatching and writing connections finish their
-                // in-flight step first and drain when it completes.
-                let tokens: Vec<usize> = self.live_tokens();
-                for token in tokens {
-                    let parked = matches!(
-                        self.conns[token].as_ref().map(|c| c.state),
-                        Some(ConnState::Idle | ConnState::Reading)
-                    );
-                    if parked {
-                        self.drain_close(token);
-                    }
-                }
-                if self.active == 0 {
-                    return Ok(());
-                }
+        }
+    }
+
+    /// How long `epoll_wait` may sleep: one wheel tick while a deadline
+    /// is armed, and no later than the first linger's end or the drain
+    /// deadline; otherwise until an event or the waker.
+    fn timeout(&self) -> Option<Duration> {
+        let tick = self.wheel.as_ref().filter(|w| w.len > 0).map(|w| w.tick);
+        let linger = self.lingers.front().map(|&(end, ..)| end);
+        let end = linger.into_iter().chain(self.drain_by).min();
+        let left = end.map(|end| end.saturating_duration_since(Instant::now()));
+        tick.into_iter().chain(left).min()
+    }
+
+    /// One pass of the shutdown drain: stop accepting, close the
+    /// between-requests connections, and let dispatching, writing and
+    /// lingering ones finish their step. Once the drain deadline passes
+    /// the stragglers are dropped unflushed. Returns whether every socket
+    /// is closed.
+    fn drain(&mut self, now: Instant) -> bool {
+        let drain_deadline = self.shared.limits.drain_deadline();
+        let timed_out = now >= *self.drain_by.get_or_insert(now + drain_deadline);
+        self.set_listening(false);
+        for token in 0..self.conns.len() {
+            match self.conns[token].as_ref().map(|c| c.state) {
+                Some(_) if timed_out => self.close(token),
+                Some(ConnState::Idle | ConnState::Reading) => self.drain_close(token),
+                _ => {}
+            }
+        }
+        self.served + self.rejected == 0
+    }
+
+    /// Adds or removes the listener from the epoll set; while it is out,
+    /// the kernel backlog holds new connections.
+    fn set_listening(&mut self, on: bool) {
+        if on == self.listening {
+            return;
+        }
+        let fd = self.listener.as_raw_fd();
+        let result = if on {
+            self.poller.add(fd, LISTENER_TOKEN, Interest::READABLE)
+        } else {
+            self.poller.delete(fd)
+        };
+        if result.is_ok() {
+            self.listening = on;
+        }
+    }
+
+    /// Takes every connection the backlog holds. A connection is served
+    /// while fewer than `max_connections` served sockets are open;
+    /// otherwise it hears a framed `Busy` and lingers. At most
+    /// `max_connections` rejected sockets linger at once: at that bound
+    /// the listener leaves the epoll set until one closes.
+    fn accept(&mut self) {
+        let max = self.shared.limits.max_connections;
+        while self.listening {
+            let stream = match self.listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                // An empty backlog; any other error is retried on the next
+                // wakeup, since the listener stays readable.
+                Err(_) => return,
+            };
+            let _ = stream.set_nodelay(true);
+            if stream.set_nonblocking(true).is_err() {
+                continue;
+            }
+            if self.served < max {
+                bump(&self.shared.counters.connections_served);
+                self.register(stream, false);
+                continue;
+            }
+            bump(&self.shared.counters.busy_rejections);
+            lock(&self.shared.state).count_transport(CounterKind::BusyRejection);
+            if let Some(token) = self.register(stream, true) {
+                let busy = Response::Busy {
+                    retry_after_ms: BUSY_RETRY_AFTER_MS,
+                };
+                self.close_with_message(token, &busy);
+            }
+            if self.rejected >= max {
+                self.set_listening(false);
             }
         }
     }
 
-    fn live_tokens(&self) -> Vec<usize> {
-        (0..self.conns.len())
-            .filter(|&t| self.conns[t].is_some())
-            .collect()
-    }
-
-    fn register(&mut self, stream: TcpStream, permit: Permit) {
-        if self.shared.shutdown.load(Ordering::Acquire) {
-            // The acceptor raced shutdown: drain it before its first
-            // read.
-            bump(&self.shared.counters.drained_connections);
-            lock(&self.shared.state).count_transport(CounterKind::ConnectionDrained);
-            return;
-        }
-        let _ = stream.set_nodelay(true);
-        if stream.set_nonblocking(true).is_err() {
-            return;
-        }
+    /// Adds an accepted socket to the slab and the epoll set, returning
+    /// its token; the socket is dropped if epoll refuses it.
+    fn register(&mut self, stream: TcpStream, rejected: bool) -> Option<usize> {
         let token = match self.free.pop() {
             Some(token) => token,
             None => {
@@ -456,11 +533,11 @@ impl<'a> Reactor<'a> {
             .is_err()
         {
             self.free.push(token);
-            return;
+            return None;
         }
         self.conns[token] = Some(Conn {
             stream,
-            _permit: permit,
+            rejected,
             state: ConnState::Idle,
             inbuf: Vec::new(),
             outbuf: Vec::new(),
@@ -472,13 +549,19 @@ impl<'a> Reactor<'a> {
             timer: StageTimer::start(),
             deadline: None,
             in_wheel: false,
+            drained: 0,
         });
-        self.active += 1;
-        self.shared
-            .reactor_counters
-            .registered_fds
-            .fetch_add(1, Ordering::Relaxed);
-        self.arm_deadline(token, Instant::now());
+        if rejected {
+            self.rejected += 1;
+        } else {
+            self.served += 1;
+            self.shared
+                .reactor_counters
+                .registered_fds
+                .fetch_add(1, Ordering::Relaxed);
+            self.arm_deadline(token, Instant::now());
+        }
+        Some(token)
     }
 
     /// Arms (or re-arms) the connection's deadline one `io_timeout` out.
@@ -534,9 +617,9 @@ impl<'a> Reactor<'a> {
             None => return,
         };
         match state {
-            // Outcome application re-arms; a dispatching connection has
-            // no IO in flight, so an expiry here is a stale entry.
-            ConnState::Dispatching => {}
+            // Outcome application re-arms, and a linger ends on its own
+            // clock; an expiry here is a stale entry.
+            ConnState::Dispatching | ConnState::Lingering => {}
             // The client would not take its response within the budget.
             ConnState::Writing => self.close(token),
             ConnState::Idle | ConnState::Reading => {
@@ -552,7 +635,6 @@ impl<'a> Reactor<'a> {
                     conn.strikes
                 };
                 if strikes >= self.shared.limits.idle_strikes {
-                    bump(&self.shared.counters.connections_timed_out);
                     self.close_with_message(
                         token,
                         &Response::Error {
@@ -560,6 +642,10 @@ impl<'a> Reactor<'a> {
                                 .to_owned(),
                         },
                     );
+                    // Counted after the short last line flushed and the
+                    // socket left the gauge, so a reader that sees the
+                    // strike-out sees the gauge without it.
+                    bump(&self.shared.counters.connections_timed_out);
                 } else {
                     self.arm_deadline(token, now);
                 }
@@ -581,6 +667,11 @@ impl<'a> Reactor<'a> {
             ConnState::Idle | ConnState::Reading => {
                 if readable {
                     self.handle_readable(token);
+                }
+            }
+            ConnState::Lingering => {
+                if readable {
+                    self.drain_linger(token);
                 }
             }
             // The fd is deleted while dispatching; an event here is from
@@ -646,7 +737,7 @@ impl<'a> Reactor<'a> {
     }
 
     /// A finished job: credit the budget, queue the response bytes, and
-    /// either resume reading, park on `EPOLLOUT`, or close.
+    /// either resume reading, park on `EPOLLOUT`, or linger and close.
     fn apply_outcome(&mut self, token: usize, outcome: Outcome) {
         let Some(conn) = self.conns[token].as_mut() else {
             return;
@@ -658,8 +749,8 @@ impl<'a> Reactor<'a> {
         self.pump_out(token);
     }
 
-    /// Serializes a final error line and closes once it flushes (or the
-    /// write deadline gives up) — the reactor's `let _ = write_message`.
+    /// Serializes a last line and, once it flushes, lingers and closes
+    /// (a write that fails or outlives its deadline closes at once).
     fn close_with_message(&mut self, token: usize, response: &Response) {
         let mut bytes = Vec::new();
         let _ = write_message(&mut bytes, response);
@@ -714,8 +805,8 @@ impl<'a> Reactor<'a> {
         }
     }
 
-    /// The outbuf is empty: close if the outcome said so, drain if the
-    /// server is shutting down, otherwise go idle awaiting the next
+    /// The outbuf is empty: linger if the outcome said to close, drain if
+    /// the server is shutting down, otherwise go idle awaiting the next
     /// request (any partial frame already buffered resumes immediately).
     fn finish_flush(&mut self, token: usize) {
         let resume = {
@@ -727,7 +818,7 @@ impl<'a> Reactor<'a> {
             conn.resume
         };
         if !resume {
-            self.close(token);
+            self.linger(token);
             return;
         }
         if self.shared.shutdown.load(Ordering::Acquire) {
@@ -750,6 +841,50 @@ impl<'a> Reactor<'a> {
         self.arm_deadline(token, Instant::now());
     }
 
+    /// The last line is flushed: shuts the write half and drains what the
+    /// client still sends. Closing with unread client bytes queued would
+    /// send an RST, which can discard that line from the client's buffer
+    /// before it is read. The linger ends at EOF, [`LINGER_CAP`] bytes or
+    /// [`LINGER`], whatever `io_timeout` is.
+    fn linger(&mut self, token: usize) {
+        let gen = self.slot_gen[token];
+        let Some(conn) = self.conns[token].as_mut() else {
+            return;
+        };
+        let _ = conn.stream.shutdown(Shutdown::Write);
+        if conn.registered && conn.counted() {
+            self.shared
+                .reactor_counters
+                .registered_fds
+                .fetch_sub(1, Ordering::Relaxed);
+        }
+        conn.state = ConnState::Lingering;
+        conn.deadline = None;
+        self.lingers
+            .push_back((Instant::now() + LINGER, token, gen));
+        self.set_interest(token, Interest::READABLE);
+    }
+
+    /// Discards what a lingering client sent; closes at EOF, on an error,
+    /// or once [`LINGER_CAP`] bytes were drained.
+    fn drain_linger(&mut self, token: usize) {
+        let mut sink = [0u8; READ_CHUNK];
+        let Some(conn) = self.conns[token].as_mut() else {
+            return;
+        };
+        let n = match (&conn.stream).read(&mut sink) {
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => return,
+            Err(_) => 0,
+        };
+        conn.drained += n;
+        if n > 0 && conn.drained < LINGER_CAP {
+            return;
+        }
+        self.close(token);
+    }
+
     /// Closes a between-requests connection because the server is
     /// draining.
     fn drain_close(&mut self, token: usize) {
@@ -760,23 +895,27 @@ impl<'a> Reactor<'a> {
 
     /// Sets the connection's epoll interest, re-adding its fd if dispatch
     /// deleted it. The `registered_fds` gauge moves with every add and
-    /// delete, so it counts exactly the connections with `registered` set.
+    /// delete of a [`Conn::counted`] connection and when one starts to
+    /// linger, so it counts exactly the served, non-lingering connections
+    /// with `registered` set.
     fn set_interest(&mut self, token: usize, interest: Interest) {
-        let (fd, registered) = {
+        let (fd, registered, counted) = {
             let Some(conn) = self.conns[token].as_mut() else {
                 return;
             };
             let was = conn.registered;
             conn.registered = true;
-            (conn.stream.as_raw_fd(), was)
+            (conn.stream.as_raw_fd(), was, conn.counted())
         };
         let result = if registered {
             self.poller.modify(fd, token as u64, interest)
         } else {
-            self.shared
-                .reactor_counters
-                .registered_fds
-                .fetch_add(1, Ordering::Relaxed);
+            if counted {
+                self.shared
+                    .reactor_counters
+                    .registered_fds
+                    .fetch_add(1, Ordering::Relaxed);
+            }
             self.poller.add(fd, token as u64, interest)
         };
         if result.is_err() {
@@ -784,24 +923,33 @@ impl<'a> Reactor<'a> {
         }
     }
 
-    /// Tears a connection down: deregisters, closes the socket, frees
-    /// the slot (bumping its generation so stale wheel entries die), and
-    /// releases the gate permit by dropping it.
+    /// Tears a connection down: deregisters, closes the socket, and frees
+    /// the slot (bumping its generation so stale wheel and linger entries
+    /// die). A served socket's `max_connections` slot frees with it; a
+    /// rejected one's close lets the listener back into the epoll set.
     fn close(&mut self, token: usize) {
         let Some(conn) = self.conns[token].take() else {
             return;
         };
         if conn.registered {
             let _ = self.poller.delete(conn.stream.as_raw_fd());
-            self.shared
-                .reactor_counters
-                .registered_fds
-                .fetch_sub(1, Ordering::Relaxed);
+            if conn.counted() {
+                self.shared
+                    .reactor_counters
+                    .registered_fds
+                    .fetch_sub(1, Ordering::Relaxed);
+            }
         }
-        drop(conn);
         self.slot_gen[token] += 1;
         self.free.push(token);
-        self.active -= 1;
+        if conn.rejected {
+            self.rejected -= 1;
+            if self.drain_by.is_none() {
+                self.set_listening(true);
+            }
+        } else {
+            self.served -= 1;
+        }
     }
 }
 
@@ -884,19 +1032,11 @@ mod tests {
         rs.push_outcome(9, outcome);
         let mail = rs.take_inbox();
         assert_eq!(mail.len(), 1);
-        match &mail[0] {
-            Inbound::Outcome(token, outcome) => {
-                assert_eq!(*token, 9);
-                assert_eq!(outcome.bytes, b"x");
-                assert_eq!(outcome.served_delta, 1);
-                assert!(!outcome.close);
-            }
-            other => panic!("unexpected mail {other:?}"),
-        }
+        let (token, outcome) = &mail[0];
+        assert_eq!(*token, 9);
+        assert_eq!(outcome.bytes, b"x");
+        assert_eq!(outcome.served_delta, 1);
+        assert!(!outcome.close);
         assert!(rs.take_inbox().is_empty());
-        // force_exit latches the flag and is visible to the loop.
-        assert!(!rs.force.load(Ordering::Acquire));
-        rs.force_exit();
-        assert!(rs.force.load(Ordering::Acquire));
     }
 }

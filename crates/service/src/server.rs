@@ -1,16 +1,14 @@
-//! The admission server: acceptor threads sharing one `TcpListener`, one
-//! epoll reactor multiplexing every connection, a dispatch pool answering
-//! requests, and one mutex-protected [`AdmissionState`] — the
-//! authoritative admission ledger.
+//! The admission server: one epoll reactor owning the listener and every
+//! connection, a dispatch pool answering requests, and one
+//! mutex-protected [`AdmissionState`] — the authoritative admission
+//! ledger.
 //!
-//! Each acceptor runs its own accept loop; the kernel hands every
-//! incoming connection to exactly one of them. The acceptor never serves
-//! a connection itself — it either hands the connection to the reactor
-//! (if a permit is available under [`ConnectionLimits::max_connections`])
-//! or answers a framed [`Response::Busy`] and closes. A slow or hostile
-//! client therefore pins at most one reactor slot and one permit, never
-//! an acceptor or a thread, and a well-formed client always gets *some*
-//! answer quickly: a served request or a fast `Busy`.
+//! The reactor accepts every connection itself. While fewer than
+//! [`ConnectionLimits::max_connections`] served connections are open it
+//! serves the new one; otherwise it answers a framed [`Response::Busy`]
+//! and closes. A slow or hostile client therefore pins at most one
+//! reactor slot, never a thread, and a well-formed client always gets
+//! *some* answer quickly: a served request or a fast `Busy`.
 //!
 //! Every request runs through one pipeline, whatever carries its bytes:
 //! one frame decoder and one request loop, fed socket bytes by the
@@ -20,17 +18,16 @@
 //!
 //! # The connection plane
 //!
-//! The server runs [`ServerConfig::workers`] acceptors, one reactor, a
-//! dispatch pool of `workers` threads and, under an interval fsync policy
+//! The server runs one reactor, a dispatch pool of
+//! [`ServerConfig::workers`] threads and, under an interval fsync policy
 //! only, the WAL flusher:
 //!
-//! * **One gate** — every connection holds a permit of one gate sized
-//!   [`ConnectionLimits::max_connections`], so `Busy` means exactly that
-//!   `max_connections` connections are live.
-//! * **One reactor** — a nonblocking event loop owns every socket and
-//!   decodes frames as bytes arrive; decoded frames are answered off the
-//!   loop by the dispatch pool and the responses handed back to the loop
-//!   to write. Every decision runs under the one ledger lock, so a second
+//! * **One reactor** — a nonblocking event loop owns every socket from
+//!   accept to close and decodes frames as bytes arrive; decoded frames
+//!   are answered off the loop by the dispatch pool and the responses
+//!   handed back to the loop to write. It counts the served sockets
+//!   itself, so `Busy` means exactly that `max_connections` of them are
+//!   open. Every decision runs under the one ledger lock, so a second
 //!   reactor could not run two decisions at once; a per-core plane of
 //!   reactors measured no gain on any benchmarked workload.
 //! * **One dispatch per request** — every request, `Admit` included, is
@@ -63,25 +60,30 @@
 //!   `Error` and the connection is dropped, never an unbounded buffer.
 //! * **Request budget** — a connection that has served
 //!   `max_requests_per_connection` requests is asked to reconnect, so no
-//!   single connection monopolises a permit forever.
+//!   single connection holds a `max_connections` slot forever.
+//! * **Lingering close** — after every last line the reactor writes (a
+//!   `Busy`, a framed `Error`, a metrics reply) it shuts the write half
+//!   and discards what the client still sends until EOF, 64 KiB or
+//!   100 ms, then closes, so the close cannot reset the connection before
+//!   the client reads that line.
 //!
 //! Shutdown is drain-based: [`ServerHandle::shutdown`] (or a client
-//! `Shutdown` request) flips the shared flag and wakes the acceptors with
-//! one dummy connection each and the reactor through its eventfd; idle
-//! and mid-frame connections drain at once, and those being answered
-//! finish writing first, so with `io_timeout` configured
-//! [`ServerHandle::join`] returns within one deadline period. Transport
+//! `Shutdown` request) flips the shared flag and wakes the reactor
+//! through its eventfd; idle and mid-frame connections drain at once, and
+//! those being answered finish writing first, so with `io_timeout`
+//! configured [`ServerHandle::join`] returns within one deadline period.
+//! Transport
 //! incidents (timeouts, oversized frames, busy rejections, drains) are
 //! counted lock-free in [`TransportCounters`] and surfaced both in the
 //! Prometheus exposition and on the telemetry event bus.
 
-use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Write};
+use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use fedsched_durable::{
     list_snapshots, load_snapshot, DurableStore, LogRecord, StoreConfig, WalStats, FORMAT_VERSION,
@@ -91,7 +93,7 @@ use fedsched_telemetry::{monotonic_nanos, CounterKind, SpanPhase, TelemetryEvent
 use crate::cache::CachedSizing;
 use crate::pipeline::process_lines;
 pub use crate::pipeline::Session;
-use crate::protocol::{write_message, Request, RequestTiming, Response};
+use crate::protocol::{Request, RequestTiming, Response};
 use crate::reactor::{reactor_loop, JobQueue, ReactorShared};
 use crate::recovery::{admit_records, recover_state, remove_record, ReplayReport};
 use crate::state::{AdmissionConfig, AdmissionState};
@@ -116,7 +118,8 @@ pub struct ConnectionLimits {
     /// dropped. Clamped to at least 64.
     pub max_frame_bytes: usize,
     /// Maximum concurrently served connections; overflow is answered with
-    /// a fast [`Response::Busy`]. Clamped to at least 1.
+    /// a fast [`Response::Busy`]. A served connection holds its slot until
+    /// its socket closes. Clamped to at least 1.
     pub max_connections: usize,
     /// Requests one connection may issue before being asked to reconnect;
     /// clamped to at least 1.
@@ -155,12 +158,12 @@ impl ConnectionLimits {
         }
     }
 
-    /// How long [`ServerHandle::join`] waits for connections to drain
-    /// after the acceptors exit. With deadlines configured every parked
-    /// connection times out within one `io_timeout`, so two periods plus
-    /// slack bounds the drain; without deadlines the wait is a short
-    /// grace period only (the reactor then drops the stragglers).
-    fn drain_deadline(&self) -> Duration {
+    /// How long the reactor waits for connections to drain once shutdown
+    /// began. With deadlines configured every parked connection times out
+    /// within one `io_timeout`, so two periods plus slack bounds the
+    /// drain; without deadlines the wait is a short grace period only
+    /// (the reactor then drops the stragglers).
+    pub(crate) fn drain_deadline(&self) -> Duration {
         match self.io_timeout {
             Some(t) => t.saturating_mul(2).saturating_add(Duration::from_secs(5)),
             None => Duration::from_secs(1),
@@ -174,9 +177,9 @@ pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:7878` (`:0` picks a free port; read
     /// it back from [`ServerHandle::local_addr`]).
     pub addr: String,
-    /// Acceptor-thread count (clamped to at least 1), which also sizes
-    /// the dispatch pool answering requests: `workers` threads.
-    /// Connections are multiplexed on the one reactor and bounded by
+    /// Dispatch-pool width: the threads answering decoded requests
+    /// (clamped to at least 1). Connections are accepted and multiplexed
+    /// by the one reactor and bounded by
     /// [`ConnectionLimits::max_connections`], not by this count.
     pub workers: usize,
     /// The admission-control platform and FEDCONS knobs.
@@ -204,8 +207,8 @@ pub struct ServerConfig {
 /// [`StatsSnapshot`] the server serves).
 #[derive(Debug, Default)]
 pub struct TransportCounters {
-    connections_served: AtomicU64,
-    busy_rejections: AtomicU64,
+    pub(crate) connections_served: AtomicU64,
+    pub(crate) busy_rejections: AtomicU64,
     pub(crate) read_timeouts: AtomicU64,
     pub(crate) connections_timed_out: AtomicU64,
     pub(crate) oversized_requests: AtomicU64,
@@ -386,88 +389,12 @@ impl StageCounters {
     }
 }
 
-/// The semaphore bounding concurrently served connections, doubling as
-/// the drain barrier graceful shutdown waits on.
-#[derive(Debug)]
-pub(crate) struct Gate {
-    max: usize,
-    active: Mutex<usize>,
-    drained: Condvar,
-}
-
-impl Gate {
-    fn new(max: usize) -> Gate {
-        Gate {
-            max,
-            active: Mutex::new(0),
-            drained: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, usize> {
-        self.active
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn try_acquire(self: &Arc<Gate>) -> Option<Permit> {
-        let mut active = self.lock();
-        if *active >= self.max {
-            return None;
-        }
-        *active += 1;
-        Some(Permit {
-            gate: Arc::clone(self),
-        })
-    }
-
-    fn release(&self) {
-        let mut active = self.lock();
-        *active = active.saturating_sub(1);
-        if *active == 0 {
-            self.drained.notify_all();
-        }
-    }
-
-    /// Blocks until no connection holds a permit, or `timeout` elapses.
-    /// Returns whether the drain completed.
-    fn wait_drained(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut active = self.lock();
-        while *active > 0 {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (guard, _) = self
-                .drained
-                .wait_timeout(active, deadline - now)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            active = guard;
-        }
-        true
-    }
-}
-
-/// One connection's slot under the [`Gate`]. Released on drop, so a
-/// connection dropped anywhere — closed by its reactor or never
-/// registered — returns its permit.
-#[derive(Debug)]
-pub(crate) struct Permit {
-    gate: Arc<Gate>,
-}
-
-impl Drop for Permit {
-    fn drop(&mut self) {
-        self.gate.release();
-    }
-}
-
 /// Lock-free counters of the epoll reactor, exposed as the
 /// `fedsched_reactor_*` metric families.
 #[derive(Debug, Default)]
 pub(crate) struct ReactorCounters {
-    /// Sockets currently registered with the reactor (gauge).
+    /// Served, non-lingering sockets currently registered with the
+    /// reactor (gauge).
     pub(crate) registered_fds: AtomicU64,
     /// `epoll_wait` returns that delivered at least one event.
     pub(crate) wakeups: AtomicU64,
@@ -621,47 +548,29 @@ impl Journal {
     }
 }
 
-/// Everything the acceptors, the reactor, dispatch workers, and sessions
-/// share.
+/// Everything the reactor, dispatch workers, and sessions share.
 #[derive(Debug)]
 pub(crate) struct Shared {
     pub(crate) state: Arc<Mutex<AdmissionState>>,
     pub(crate) shutdown: AtomicBool,
     pub(crate) counters: Arc<TransportCounters>,
-    /// The connection permits: one gate of `max_connections`.
-    gate: Arc<Gate>,
-    /// The reactor's mailbox and waker.
+    /// The reactor's outcome mailbox and waker.
     pub(crate) reactor: ReactorShared,
     /// The reactor's `fedsched_reactor_*` counters.
     pub(crate) reactor_counters: ReactorCounters,
     /// Decoded frames waiting for the dispatch pool.
     pub(crate) jobs: JobQueue,
     pub(crate) limits: ConnectionLimits,
-    listener: TcpListener,
-    pub(crate) local_addr: SocketAddr,
-    pub(crate) workers: usize,
     pub(crate) journal: Option<Journal>,
     pub(crate) stages: Arc<StageCounters>,
-}
-
-impl Shared {
-    /// Wakes every acceptor parked in `accept` (one dummy connection
-    /// each) and the reactor parked in `epoll_wait`, so all of them
-    /// observe the shutdown flag.
-    pub(crate) fn wake_all(&self) {
-        for _ in 0..self.workers {
-            let _ = TcpStream::connect(self.local_addr);
-        }
-        self.reactor.wake();
-    }
 }
 
 /// A running server: the shared state plus the threads to join.
 #[derive(Debug)]
 pub struct ServerHandle {
     shared: Arc<Shared>,
+    local_addr: SocketAddr,
     handoff_absorbed: Option<u64>,
-    acceptors: Vec<JoinHandle<()>>,
     reactor: JoinHandle<()>,
     dispatchers: Vec<JoinHandle<()>>,
     flusher: Option<JoinHandle<()>>,
@@ -671,7 +580,7 @@ impl ServerHandle {
     /// The address the listener actually bound (resolves `:0` ports).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.local_addr
+        self.local_addr
     }
 
     /// The shared admission state (for in-process inspection; network
@@ -750,26 +659,16 @@ impl ServerHandle {
         Session::new(&self.shared)
     }
 
-    /// Blocks until every acceptor has exited (i.e. until some client
-    /// sent `Shutdown`, or [`Self::shutdown`] was called), then waits for
-    /// the live connections to drain. With
-    /// [`ConnectionLimits::io_timeout`] configured the drain is bounded:
-    /// every connection parked mid-frame times out within one deadline
-    /// period, observes the shutdown flag, and closes.
+    /// Blocks until the reactor exits — once some client sent
+    /// `Shutdown`, or [`Self::shutdown`] was called, and the live
+    /// connections drained — then joins the dispatch pool and the WAL
+    /// flusher and syncs the WAL. With [`ConnectionLimits::io_timeout`]
+    /// configured the drain is bounded: every connection parked mid-frame
+    /// times out within one deadline period, observes the shutdown flag,
+    /// and closes; the reactor drops whatever is still open at the drain
+    /// deadline.
     pub fn join(self) {
         let shared = &self.shared;
-        for thread in self.acceptors {
-            let _ = thread.join();
-        }
-        // The reactor notices the shutdown flag on its next wakeup; poke
-        // it so parked (idle) connections drain immediately instead of
-        // waiting out a read deadline.
-        shared.reactor.wake();
-        shared.gate.wait_drained(shared.limits.drain_deadline());
-        // The reactor thread exits once its last connection closes; the
-        // force flag covers a drain that timed out (the stragglers are
-        // dropped unflushed).
-        shared.reactor.force_exit();
         let _ = self.reactor.join();
         // With the reactor gone nothing enqueues jobs: close the queue,
         // let the dispatch pool finish what is in flight, and join it.
@@ -789,19 +688,18 @@ impl ServerHandle {
         }
     }
 
-    /// Initiates shutdown from the hosting process, joins the acceptors,
-    /// and drains the connections. Terminates within roughly one
-    /// `io_timeout` of the call even if clients hold connections open or
-    /// sit mid-request — their deadlines fire, the reactor observes the
-    /// flag, and the connections close.
+    /// Initiates shutdown from the hosting process and joins the server.
+    /// Terminates within roughly one `io_timeout` of the call even if
+    /// clients hold connections open or sit mid-request — their deadlines
+    /// fire, the reactor observes the flag, and the connections close.
     pub fn shutdown(self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.wake_all();
+        self.shared.reactor.wake();
         self.join();
     }
 }
 
-/// Binds the listener and spawns the acceptors, the reactor, and the
+/// Binds the listener and spawns the reactor, which owns it, and the
 /// dispatch pool. With [`ServerConfig::durability`] set, the data
 /// directory is opened (and created if absent) first: the newest loadable
 /// snapshot is restored structurally and the WAL suffix is re-executed
@@ -858,20 +756,15 @@ pub fn serve(config: &ServerConfig) -> io::Result<ServerHandle> {
     };
     let listener = TcpListener::bind(&config.addr)?;
     let local_addr = listener.local_addr()?;
-    let limits = config.limits.sanitized();
-    let workers = config.workers.max(1);
+    listener.set_nonblocking(true)?;
     let shared = Arc::new(Shared {
         state: Arc::new(Mutex::new(initial_state)),
         shutdown: AtomicBool::new(false),
         counters: Arc::new(TransportCounters::default()),
-        gate: Arc::new(Gate::new(limits.max_connections)),
         reactor: ReactorShared::new()?,
         reactor_counters: ReactorCounters::default(),
         jobs: JobQueue::new(),
-        limits,
-        listener,
-        local_addr,
-        workers,
+        limits: config.limits.sanitized(),
         journal,
         stages: Arc::new(StageCounters::default()),
     });
@@ -885,17 +778,16 @@ pub fn serve(config: &ServerConfig) -> io::Result<ServerHandle> {
             })
         })
         .transpose()?;
-    let reactor = spawn(&shared, "fedsched-reactor".to_owned(), reactor_loop)?;
-    let dispatchers = (0..workers)
+    let reactor = spawn(&shared, "fedsched-reactor".to_owned(), move |shared| {
+        reactor_loop(shared, listener);
+    })?;
+    let dispatchers = (0..config.workers.max(1))
         .map(|i| spawn(&shared, format!("fedsched-dispatch-{i}"), dispatch_loop))
-        .collect::<io::Result<_>>()?;
-    let acceptors = (0..workers)
-        .map(|i| spawn(&shared, format!("fedsched-acceptor-{i}"), acceptor_loop))
         .collect::<io::Result<_>>()?;
     Ok(ServerHandle {
         shared,
+        local_addr,
         handoff_absorbed,
-        acceptors,
         reactor,
         dispatchers,
         flusher,
@@ -919,11 +811,7 @@ fn spawn(
 fn dispatch_loop(shared: &Shared) {
     while let Some(job) = shared.jobs.pop() {
         let outcome = process_lines(shared, &job.frames, job.served, job.timer);
-        let triggered = outcome.triggered_shutdown;
         shared.reactor.push_outcome(job.token, outcome);
-        if triggered {
-            shared.wake_all();
-        }
     }
 }
 
@@ -965,73 +853,6 @@ pub(crate) fn lock(state: &Mutex<AdmissionState>) -> MutexGuard<'_, AdmissionSta
     state
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// One acceptor: hands each accepted socket that gets a permit to the
-/// reactor, or answers `Busy` when `max_connections` connections are
-/// already live.
-fn acceptor_loop(shared: &Shared) {
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let stream = match shared.listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => continue,
-        };
-        if shared.shutdown.load(Ordering::Acquire) {
-            return; // wake-up connection; drop it unserved
-        }
-        let Some(permit) = shared.gate.try_acquire() else {
-            bump(&shared.counters.busy_rejections);
-            lock(&shared.state).count_transport(CounterKind::BusyRejection);
-            reject_busy(&stream);
-            continue;
-        };
-        bump(&shared.counters.connections_served);
-        shared.reactor.push_conn(stream, permit);
-    }
-}
-
-/// Bounds each half of a `Busy` rejection: the response write, and the
-/// whole drain of what the client sends.
-const BUSY_IO_TIMEOUT: Duration = Duration::from_millis(100);
-/// Most bytes drained from a rejected connection before giving up.
-const BUSY_DRAIN_CAP: usize = 64 * 1024;
-/// The advisory backoff floor sent with every `Busy` response.
-const BUSY_RETRY_AFTER_MS: u64 = 100;
-
-/// Answers an over-capacity connection with a fast framed `Busy` and
-/// closes it. The write FIN-then-drain dance keeps the rejection readable:
-/// closing with unread client bytes in the receive queue would send an
-/// RST, which can discard the `Busy` line from the client's buffer before
-/// it is read. The drain ends at one deadline however the client paces
-/// its bytes, so a trickling client cannot hold the acceptor.
-fn reject_busy(stream: &TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_write_timeout(Some(BUSY_IO_TIMEOUT));
-    let mut writer = stream;
-    let _ = write_message(
-        &mut writer,
-        &Response::Busy {
-            retry_after_ms: BUSY_RETRY_AFTER_MS,
-        },
-    );
-    let _ = stream.shutdown(Shutdown::Write);
-    let deadline = Instant::now() + BUSY_IO_TIMEOUT;
-    let mut reader = stream;
-    let mut sink = [0u8; 1024];
-    let mut drained = 0usize;
-    while drained < BUSY_DRAIN_CAP {
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
-            break;
-        }
-        match reader.read(&mut sink) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => drained += n,
-        }
-    }
 }
 
 /// Assembles the snapshot the server serves: the admission counters (one
@@ -1411,18 +1232,5 @@ mod tests {
             "a hit's sizing interval is the cache probe"
         );
         handle.shutdown();
-    }
-
-    #[test]
-    fn gate_bounds_permits_and_reports_drain() {
-        let gate = Arc::new(Gate::new(2));
-        let a = gate.try_acquire().expect("first permit");
-        let b = gate.try_acquire().expect("second permit");
-        assert!(gate.try_acquire().is_none(), "cap reached");
-        assert!(!gate.wait_drained(Duration::from_millis(10)));
-        drop(a);
-        drop(b);
-        assert!(gate.wait_drained(Duration::from_millis(10)));
-        assert!(gate.try_acquire().is_some(), "permits recycle");
     }
 }

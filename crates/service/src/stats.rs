@@ -245,7 +245,7 @@ pub struct Stats {
 /// [`StatsSnapshot`] when a snapshot is taken.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TransportStats {
-    /// Connections accepted and handed to the reactor since start.
+    /// Connections the reactor accepted and served since start.
     pub connections_served: u64,
     /// Connections turned away with `Busy` because the concurrent
     /// connection cap was reached.
@@ -385,8 +385,9 @@ impl StageStats {
 /// with no server around it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReactorStats {
-    /// Sockets currently registered with the epoll instance: connections
-    /// parked in the loop, not those handed to the dispatch pool.
+    /// Served sockets currently registered with the epoll instance:
+    /// connections parked in the loop, not those handed to the dispatch
+    /// pool nor those lingering after their last line.
     pub registered_fds: u64,
     /// Times the reactor returned from `epoll_wait` with at least one
     /// ready event (eventfd wakeups included).
@@ -566,7 +567,7 @@ pub fn render_prometheus(snapshot: &StatsSnapshot) -> String {
     let transport: [(&str, &str, u64); 8] = [
         (
             "fedsched_connections_served_total",
-            "Connections accepted and handed to the reactor since start",
+            "Connections the reactor accepted and served since start",
             snapshot.transport.connections_served,
         ),
         (
@@ -711,7 +712,7 @@ pub fn render_prometheus(snapshot: &StatsSnapshot) -> String {
 
     out.header(
         "fedsched_reactor_registered_fds",
-        "Sockets currently registered with the epoll reactor",
+        "Served sockets currently registered with the epoll reactor",
         "gauge",
     );
     out.sample(

@@ -5,6 +5,7 @@
 //! memory, bounded time, fast `Busy` rejections, drain-based shutdown,
 //! and a counter incremented for every failure mode.
 
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -14,12 +15,12 @@ use fedsched_dag::time::Duration as Ticks;
 use fedsched_durable::{DurableStore, FsyncPolicy, StoreConfig};
 use fedsched_service::chaos::ChaosClient;
 use fedsched_service::client::{Client, ClientConfig};
-use fedsched_service::protocol::{Placement, Response};
+use fedsched_service::protocol::{write_message, Placement, Response};
 use fedsched_service::recover_state;
 use fedsched_service::server::{
     serve, ConnectionLimits, ServerConfig, ServerHandle, TransportCounters,
 };
-use fedsched_service::state::AdmissionConfig;
+use fedsched_service::state::{AdmissionConfig, AdmissionState};
 use fedsched_service::stats::TransportStats;
 
 fn start_server(limits: ConnectionLimits) -> ServerHandle {
@@ -347,11 +348,12 @@ fn busy_only_when_max_conns_connections_are_live() {
 }
 
 #[test]
-fn a_trickling_busy_client_cannot_hold_the_acceptor_past_one_deadline() {
-    // One acceptor, one permit, one hog. A rejected client that writes a
-    // byte every 50 ms keeps each drain read under its timeout; the drain
-    // still ends at one deadline, so the acceptor moves on and the next
-    // client hears Busy at once.
+fn a_trickling_busy_client_lingers_at_most_one_deadline() {
+    // One served slot, one hog. A rejected client that writes a byte
+    // every 50 ms keeps its linger fed; the linger still ends at one
+    // deadline, so the listener, out of the epoll set while the one
+    // allowed rejected socket lingers, takes the next client, which hears
+    // Busy at once.
     let handle = serve(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 1,
@@ -378,7 +380,7 @@ fn a_trickling_busy_client_cannot_hold_the_acceptor_past_one_deadline() {
     let mut trickler = ChaosClient::connect(addr).expect("trickler connect");
     let trickle =
         std::thread::spawn(move || trickler.trickle(&[b' '; 60], Duration::from_millis(50)));
-    // Let the acceptor reach the trickler's drain.
+    // Let the reactor reach the trickler's linger.
     std::thread::sleep(Duration::from_millis(200));
 
     let mut third = ChaosClient::connect(addr).expect("third connect");
@@ -391,6 +393,74 @@ fn a_trickling_busy_client_cannot_hold_the_acceptor_past_one_deadline() {
     let _ = trickle.join();
     drop(hog);
     drop(third);
+    handle.shutdown();
+}
+
+#[test]
+fn rejected_clients_that_never_read_or_close_each_hear_one_busy() {
+    // One served slot, one hog. Five rejected clients send a partial line
+    // and then neither read nor close, so each rejection lingers its full
+    // deadline. One rejected socket lingers at a time; the backlog holds
+    // the rest, and every one still hears its Busy, while the hog keeps
+    // being served.
+    let handle = start_server(ConnectionLimits {
+        max_connections: 1,
+        ..ConnectionLimits::default()
+    });
+    let addr = handle.local_addr();
+    let counters = handle.transport();
+
+    let mut hog = ChaosClient::connect(addr).expect("hog connect");
+    let hog_stats = |hog: &mut ChaosClient| {
+        let started = Instant::now();
+        hog.send(b"\"Stats\"\n").expect("hog request");
+        let line = hog
+            .read_line_within(Duration::from_secs(1))
+            .expect("the hog's Stats must be answered within 1 s")
+            .expect("the hog must get an answer, not a close");
+        assert!(
+            line.starts_with("{\"Stats\""),
+            "expected Stats, got {line:?}"
+        );
+        assert!(started.elapsed() < Duration::from_secs(1));
+    };
+    hog_stats(&mut hog);
+
+    let started = Instant::now();
+    let mut rejected: Vec<ChaosClient> = (0..5)
+        .map(|_| {
+            let mut client = ChaosClient::connect(addr).expect("rejected connect");
+            client.send(b"{\"Admit\":{").expect("partial line");
+            client
+        })
+        .collect();
+    for client in &mut rejected {
+        let left = Duration::from_secs(2).saturating_sub(started.elapsed());
+        let line = client
+            .read_line_within(left)
+            .expect("each rejected client must hear Busy within 2 s")
+            .expect("a rejected client must get an answer, not a close");
+        assert!(is_busy(&line), "expected Busy, got {line:?}");
+        hog_stats(&mut hog);
+    }
+    for client in &mut rejected {
+        assert_eq!(
+            client
+                .read_line_within(Duration::from_secs(2))
+                .expect("the linger must end in a clean close"),
+            None,
+            "exactly one line per rejected client"
+        );
+    }
+    assert!(
+        wait_for(&counters, |t| t.busy_rejections == 5),
+        "all five rejections must be counted, got {:?}",
+        counters.snapshot()
+    );
+    hog_stats(&mut hog);
+
+    drop(rejected);
+    drop(hog);
     handle.shutdown();
 }
 
@@ -480,6 +550,43 @@ fn client_calls_fail_within_the_deadline_against_a_stalled_server() {
         started.elapsed()
     );
     drop(listener);
+}
+
+#[test]
+fn a_framed_error_drops_the_client_connection_so_the_next_call_redials() {
+    // A scripted server: its first connection answers one line with a
+    // framed Error and closes; its second answers Stats.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind script");
+    let addr = listener.local_addr().expect("script addr");
+    let (closed_tx, closed_rx) = mpsc::channel();
+    let script = std::thread::spawn(move || {
+        let answer = |response: &Response| {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut line = String::new();
+            BufReader::new(&stream)
+                .read_line(&mut line)
+                .expect("read request");
+            write_message(&mut &stream, response).expect("write response");
+        };
+        answer(&Response::Error {
+            message: "scripted".to_owned(),
+        });
+        closed_tx.send(()).expect("signal the close");
+        answer(&Response::Stats {
+            snapshot: AdmissionState::new(AdmissionConfig::new(4)).snapshot(),
+        });
+    });
+    let mut client = Client::connect(addr).expect("client connect");
+    assert!(matches!(
+        client.stats().expect("first call"),
+        Response::Error { .. }
+    ));
+    closed_rx.recv().expect("the first connection closed");
+    assert!(matches!(
+        client.stats().expect("the second call redials"),
+        Response::Stats { .. }
+    ));
+    script.join().expect("scripted server");
 }
 
 #[test]
@@ -759,7 +866,7 @@ fn a_thousand_slowloris_connections_cannot_wedge_the_reactor() {
         "every attacker must be parked on a reactor, saw {parked}"
     );
     // Bounded resources: the attack adds sockets, never threads. The
-    // server runs a fixed crew (acceptors, reactor, dispatchers); even
+    // server runs a fixed crew (reactor, dispatchers); even
     // with generous slack for the test harness, a thread-per-connection
     // plane would blow far past this.
     let threads_during = std::fs::read_dir("/proc/self/task")

@@ -3,11 +3,12 @@
 //! whose sizing windows hold several candidates, the process has no
 //! `worksteal-*` pool worker, whatever `FEDSCHED_THREADS` says.
 //!
-//! The same census counts the server's own crew: one reactor, `workers`
-//! acceptors and `workers` dispatch workers, plus one WAL thread, the
-//! flusher, only for a durable server under `--fsync interval:<ms>`. The
-//! dispatch workers journal their own decisions, so a memory-only server
-//! and a durable one under `--fsync every` start no WAL thread at all.
+//! The same census counts the server's own crew: one reactor, which
+//! accepts its own connections, so no acceptor thread, and `workers`
+//! dispatch workers, plus one WAL thread, the flusher, only for a durable
+//! server under `--fsync interval:<ms>`. The dispatch workers journal
+//! their own decisions, so a memory-only server and a durable one under
+//! `--fsync every` start no WAL thread at all.
 //!
 //! The `fedsched-parallel` pool is built lazily, once per process, and its
 //! workers live as long as the process does. This binary therefore holds
@@ -24,7 +25,7 @@ use fedsched_durable::{FsyncPolicy, StoreConfig};
 use fedsched_service::protocol::{Placement, Request, Response};
 use fedsched_service::{serve, AdmissionConfig, ConnectionLimits, ServerConfig, ServerHandle};
 
-/// Acceptor threads of the server under test, and so dispatch workers.
+/// Dispatch workers of the server under test.
 const WORKERS: usize = 2;
 
 /// Two independent vertices of WCET `3k` beside a chain of three `2k`
@@ -139,7 +140,7 @@ fn batch_and_cold_admits_spawn_no_pool_workers() {
         );
     }
 
-    assert_census([1, WORKERS, WORKERS, 0]);
+    assert_census([1, 0, WORKERS, 0]);
     drop(session);
     handle.shutdown();
 
@@ -159,7 +160,7 @@ fn batch_and_cold_admits_spawn_no_pool_workers() {
             fsync,
             ..StoreConfig::new(&dir)
         }));
-        assert_census([1, WORKERS, WORKERS, wal_threads]);
+        assert_census([1, 0, WORKERS, wal_threads]);
         handle.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
